@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endo import (
+    DEFAULT_MONOID_CAP,
     GFun,
     _Kernel,
     gfun,
@@ -48,7 +49,6 @@ from .groupoid import (
 )
 
 MAX_CENSUS_ORDER = 6
-DEFAULT_MONOID_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------

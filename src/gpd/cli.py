@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import io
-from .census import enumerate_groupoids, principal_converse_search
+from .census import MAX_CENSUS_ORDER, enumerate_groupoids, principal_converse_search
 from .corpus import cyclic
 from .endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid, gfun
 from .errors import MathError, OperationalError
@@ -31,8 +31,6 @@ from .report import CHECK_IDS, full_report
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_OPERATIONAL = 2
-
-DEFAULT_CENSUS_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ def _config(args) -> RunConfig:
         inputs=tuple(getattr(args, "paths", ()) or ()),
         output=getattr(args, "output", None),
         cap_monoid=getattr(args, "cap_monoid", DEFAULT_MONOID_CAP),
-        cap_order=getattr(args, "cap_order", DEFAULT_CENSUS_CAP),
+        cap_order=getattr(args, "cap_order", MAX_CENSUS_ORDER),
         fmt=getattr(args, "format", "json"),
     )
     if cfg.cap_monoid < 1 or cfg.cap_order < 1:
@@ -197,7 +195,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap-monoid", type=int, default=DEFAULT_MONOID_CAP,
                         help="largest monoid to enumerate (default 1000000)")
-    common.add_argument("--cap-order", type=int, default=DEFAULT_CENSUS_CAP,
+    common.add_argument("--cap-order", type=int, default=MAX_CENSUS_ORDER,
                         help="largest census order (default 6)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("-o", "--output", default=None, help="write the report here")

@@ -30,7 +30,8 @@ skipped checks do not count as failures unless explicitly requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .endo import (
     star,
     star_prime,
 )
-from .errors import ShapeError
+from .errors import NotASubgroupoid, ShapeError
 from .groupoid import Groupoid, is_principal, morphism_classify
 from .operators import representation_audit
 from .structure import (
@@ -150,17 +151,18 @@ class _Ctx:
         self.tg = dense_submonoid(g, self.ts)
         self.tgp = dense_submonoid(g, self.tsp)
         self.inter = intersection_analysis(g, self.ts)
-        self._rep = None
 
-    @property
+    @cached_property
+    def antihoms(self):
+        return antihom_classification(self.g, self.ts)
+
+    @cached_property
     def rep_verdicts(self):
-        if self._rep is None:
-            self._rep = representation_audit(
-                self.ts, self.tsp,
-                self.h1.indices, self.tg.indices,
-                self.h1p.indices, self.tgp.indices,
-            )
-        return self._rep
+        return representation_audit(
+            self.ts, self.tsp,
+            self.h1.indices, self.tg.indices,
+            self.h1p.indices, self.tgp.indices,
+        )
 
 
 def _check_p32(ctx: _Ctx) -> Verdict:
@@ -219,22 +221,18 @@ def _check_p334(ctx: _Ctx) -> Verdict:
     return Verdict(True)
 
 
-def _antihoms(ctx: _Ctx):
-    return antihom_classification(ctx.g, ctx.ts)
-
-
 def _check_p335(ctx: _Ctx) -> Verdict:
-    v = _antihoms(ctx)
+    v = ctx.antihoms
     return Verdict(v.bijective_inverses_in_mirror, v.witness)
 
 
 def _check_p336(ctx: _Ctx) -> Verdict:
-    v = _antihoms(ctx)
+    v = ctx.antihoms
     return Verdict(v.only_j_rule_six, v.injective_idempotent_antihoms)
 
 
 def _check_p337(ctx: _Ctx) -> Verdict:
-    v = _antihoms(ctx)
+    v = ctx.antihoms
     return Verdict(v.only_j_rule_seven, v.right_zero_antihoms)
 
 
@@ -280,7 +278,7 @@ def _subgroupoids(g: Groupoid):
             subset = [x for x in range(g.size) if mask >> x & 1]
             try:
                 found.append(validate_subgroupoid(g, subset))
-            except Exception:
+            except NotASubgroupoid:
                 continue
         return found, "all-subsets"
     notable = [tuple(g.units), tuple(g.elements())]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -271,26 +272,150 @@ def test_law_scan_small_and_dense_crosscheck(small_corpus):
         for side in ("S", "S'"):
             scan = law_scan(g, side)
             assert scan.identity_ok and scan.closure_ok and scan.assoc_ok, (name, side)
-            assert scan.assoc_mode == "exhaustive"
+            assert scan.assoc_mode == "certificate"
+            assert scan.assoc_triples == scan.size ** 3
             assert closure_scan_dense(g, side)
 
 
 def test_law_scan_pair3(pair3):
-    scan = law_scan(pair3, "S", sample_triples=50_000)
-    assert scan.size == 19683
-    assert scan.identity_ok and scan.closure_ok and scan.assoc_ok
-    assert scan.assoc_mode == "sampled"
+    maps = monoid_maps_array(pair3, "S")
+    for side in ("S", "S'"):
+        scan = law_scan(pair3, side)
+        assert scan.size == 19683
+        assert scan.identity_ok and scan.closure_ok and scan.assoc_ok
+        assert scan.assoc_mode == "certificate"
+        assert scan.assoc_triples == 19683 ** 3
+        assert scan.witness is None
     # every pairwise closure condition was covered by the factored scan
     assert scan.closure_conditions == sum(
-        len(np.unique(monoid_maps_array(pair3, "S")[:, x])) * scan.size
-        for x in range(pair3.size)
+        len(np.unique(maps[:, x])) * scan.size for x in range(pair3.size)
     )
 
 
 def test_law_scan_deterministic(pair3):
-    a = law_scan(pair3, "S", sample_triples=10_000)
-    b = law_scan(pair3, "S", sample_triples=10_000)
+    a = law_scan(pair3, "S")
+    b = law_scan(pair3, "S")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the cubic associativity scan, kept here as an oracle independent of the
+# translation certificate and of the numpy product kernel
+
+
+def _oracle_product(product, side, f, h):
+    """One product from the defining formula; None where it is undefined."""
+    out = []
+    for x, v in enumerate(f):
+        c = product[v][x] if side == "S" else product[x][v]
+        if c < 0:
+            return None
+        out.append(product[h[c]][v] if side == "S" else product[v][h[c]])
+    return tuple(out)
+
+
+def oracle_table(g, side):
+    """The Cayley table of one side, or None if some product leaves it."""
+    maps = list(iter_monoid_maps(g, side))
+    index = {m: i for i, m in enumerate(maps)}
+    op = np.empty((len(maps), len(maps)), dtype=np.int64)
+    for i, f in enumerate(maps):
+        for j, h in enumerate(maps):
+            k = index.get(_oracle_product(g.product, side, f, h))
+            if k is None:
+                return None
+            op[i, j] = k
+    return op
+
+
+def oracle_associative(op, budget=20_000_000):
+    """(i*j)*k == i*(j*k) over every index triple of a Cayley table."""
+    chunk = max(1, budget // len(op) ** 2)
+    for i0 in range(0, len(op), chunk):
+        blk = op[i0:i0 + chunk]
+        if not np.array_equal(op[blk], blk[:, op]):
+            return False
+    return True
+
+
+def test_certificate_agrees_with_cubic_oracle(named_corpus):
+    checked = 0
+    for name, g in named_corpus:
+        for side in ("S", "S'"):
+            if predicted_size(g, side) > 256:
+                continue
+            op = oracle_table(g, side)
+            assert op is not None, (name, side)
+            assert law_scan(g, side).assoc_ok == oracle_associative(op), (name, side)
+            checked += 1
+    assert checked == 18  # both sides of the nine corpus members other than pair(3)
+
+
+def _mutant(g, a, b, w):
+    """``g`` with product cell (a, b) set to w.
+
+    ``dataclasses.replace`` skips validation, so the broken table reaches the
+    law scan with the original range and domain maps.
+    """
+    rows = [list(row) for row in g.product]
+    rows[a][b] = w
+    return dataclasses.replace(g, product=tuple(tuple(row) for row in rows))
+
+
+def _mutants(g):
+    """Every single-cell corruption of the product table, UNDEFINED included."""
+    for a, b in itertools.product(g.elements(), repeat=2):
+        for w in range(-1, g.size):
+            if w != g.product[a][b]:
+                yield (a, b, w), _mutant(g, a, b, w)
+
+
+def test_certificate_sound_on_mutants(c2, c3, pair2):
+    outcomes = set()
+    for g in (c2, c3, pair2):
+        for cell, m in _mutants(g):
+            for side in ("S", "S'"):
+                scan = law_scan(m, side)
+                outcomes.add(scan.assoc_ok)
+                if scan.assoc_ok:
+                    op = oracle_table(m, side)
+                    assert op is not None and oracle_associative(op), (g.name, cell, side)
+    assert outcomes == {True, False}
+
+
+def test_certificate_law_witness_replays(c3):
+    m = _mutant(c3, 1, 1, 0)
+    for side, op, trans in (("S", star, left_translation),
+                            ("S'", star_prime, right_translation)):
+        maps = list(iter_monoid_maps(m, side))
+        scan = law_scan(m, side)
+        assert scan.closure_ok and not scan.assoc_ok
+        premise, x, v, gi = scan.witness
+        assert premise == "translation law"
+        f = gfun(m, next(f for f in maps if f[x] == v))
+        h = gfun(m, maps[gi])
+        assert trans(op(f, h))[x] != trans(h)[trans(f)[x]]
+        assert not oracle_associative(oracle_table(m, side))
+
+
+def test_certificate_is_one_way(c2):
+    # The certificate is sufficient, not necessary.  On a valid groupoid the
+    # translation x -> f(x) x determines f(x) by cancellation, so distinct
+    # members always have distinct translations and the certificate applies;
+    # this corrupted table (a * a = a) has no cancellation, so injectivity
+    # fails although its product happens to be associative.  build_groupoid
+    # rejects such a table, so the certificate never refuses a real groupoid.
+    m = _mutant(c2, 1, 1, 1)
+    for side, trans in (("S", left_translation), ("S'", right_translation)):
+        maps = list(iter_monoid_maps(m, side))
+        scan = law_scan(m, side)
+        assert scan.closure_ok and not scan.assoc_ok
+        premise, i, j = scan.witness
+        assert premise == "injectivity" and i != j
+        assert trans(gfun(m, maps[i])) == trans(gfun(m, maps[j]))
+        assert oracle_associative(oracle_table(m, side))
+    with pytest.raises(MembershipError, match="injectivity"):
+        enumerate_monoid(m, "S")
 
 
 # ---------------------------------------------------------------------------
