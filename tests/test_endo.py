@@ -278,7 +278,6 @@ def test_law_scan_small_and_dense_crosscheck(small_corpus):
 
 
 def test_law_scan_pair3(pair3):
-    maps = monoid_maps_array(pair3, "S")
     for side in ("S", "S'"):
         scan = law_scan(pair3, side)
         assert scan.size == 19683
@@ -286,10 +285,12 @@ def test_law_scan_pair3(pair3):
         assert scan.assoc_mode == "certificate"
         assert scan.assoc_triples == 19683 ** 3
         assert scan.witness is None
-    # every pairwise closure condition was covered by the factored scan
-    assert scan.closure_conditions == sum(
-        len(np.unique(maps[:, x])) * scan.size for x in range(pair3.size)
-    )
+        # every pairwise closure condition of this side was covered by the
+        # factored scan
+        maps = monoid_maps_array(pair3, side)
+        assert scan.closure_conditions == sum(
+            len(np.unique(maps[:, x])) * scan.size for x in range(pair3.size)
+        )
 
 
 def test_law_scan_deterministic(pair3):
