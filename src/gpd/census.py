@@ -6,12 +6,14 @@ products and composes functorially; ``monoid_iso_audit`` and
 ``functoriality_audit`` verify those laws exhaustively at small scale.
 
 ``enumerate_groupoids`` finds every groupoid structure on n labeled points
-by backtracking: the inverse involution and the range map are chosen first
-(they pin down which cells of the product table exist), then products are
-filled cell by cell under the cancellation laws, each assignment forcing
-its three companions x^-1(xy) = y, (xy)y^-1 = x and (xy)^-1 = y^-1 x^-1.
-Completed tables are re-validated from scratch and deduplicated by a
-canonical form, so representatives are deterministic.
+by backtracking.  It builds only structures whose unit set is {0..u-1},
+each standing for its comb(n, u) relabelled copies, so ``total_found``
+still counts every labelled structure.  The inverse involution and the
+range map are chosen first (they pin down which cells of the product table
+exist), then products are filled cell by cell under the cancellation laws,
+each assignment forcing its three companions x^-1(xy) = y, (xy)y^-1 = x and
+(xy)^-1 = y^-1 x^-1.  Completed tables are re-validated from scratch and
+deduplicated by a canonical form, so representatives are deterministic.
 
 The probe records, for every census groupoid, whether it is principal and
 whether the two monoids meet only in j; a non-principal groupoid whose
@@ -23,6 +25,7 @@ more.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,25 +361,17 @@ def _involutions(n: int):
     yield from rec(0)
 
 
-def _subsets_sorted(items):
-    for mask in range(1, 1 << len(items)):
-        yield [items[i] for i in range(len(items)) if mask >> i & 1]
-
-
-def _range_maps(n: int, iota):
-    """Candidate range maps: pick the unit set U inside Fix(iota), fix U
-    pointwise, and send every other element anywhere in U."""
-    fixed = [x for x in range(n) if iota[x] == x]
-    for units in _subsets_sorted(fixed):
-        unit_set = set(units)
-        free = [x for x in range(n) if x not in unit_set]
-        for choice in itertools.product(units, repeat=len(free)):
-            rng = [0] * n
-            for u in units:
-                rng[u] = u
-            for x, v in zip(free, choice):
-                rng[x] = v
-            yield tuple(rng)
+def _skeletons(n: int):
+    """(weight, iota, rng) with unit set {0..u-1}: both fix the units, iota
+    is any involution on the rest and rng sends the rest into the units.
+    Relabelling by a fixed bijection U -> {0..u-1} maps the structures with
+    unit set U one-to-one onto these, hence the weight comb(n, u)."""
+    for u in range(1, n + 1):
+        units = tuple(range(u))
+        for tail in _involutions(n - u):
+            iota = units + tuple(u + t for t in tail)
+            for choice in itertools.product(units, repeat=n - u):
+                yield math.comb(n, u), iota, units + choice
 
 
 def _complete_products(n: int, iota, rng):
@@ -484,6 +479,8 @@ class Census:
 def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census:
     """Every groupoid on ``order`` labeled points, up to isomorphism.
 
+    Only unit sets {0..u-1} are searched; each table found is weighted by
+    comb(order, u), so ``total_found`` counts every labelled structure.
     Deterministic: candidates arrive in a fixed search order and
     representatives are sorted by canonical form.
     """
@@ -491,16 +488,12 @@ def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census
         raise ShapeError(f"order must be >= 1, got {order}")
     if order > max_order:
         raise CapExceeded(f"census order {order} exceeds cap {max_order}", predicted=order)
-    seen: dict[tuple, None] = {}
+    seen: set[tuple] = set()
     total = 0
-    for iota in _involutions(order):
-        for rng in _range_maps(order, iota):
-            for table in _complete_products(order, iota, rng):
-                candidate = make_groupoid(order, table, iota)
-                total += 1
-                key = canonical_form(candidate)
-                if key not in seen:
-                    seen[key] = None
+    for weight, iota, rng in _skeletons(order):
+        for table in _complete_products(order, iota, rng):
+            seen.add(canonical_form(make_groupoid(order, table, iota)))
+            total += weight
     reps = tuple(
         groupoid_from_canonical(key, order, f"census-{order}-{i}")
         for i, key in enumerate(sorted(seen))
@@ -539,6 +532,29 @@ def intersection_size(g: Groupoid, cap: int = DEFAULT_MONOID_CAP) -> tuple[int, 
     return size, only_j
 
 
+def census_through(max_order: int, census_cap: int) -> tuple[Census, ...]:
+    """The censuses of orders 1..max_order; refused whole above the cap."""
+    if max_order > census_cap:
+        raise CapExceeded(f"order {max_order} exceeds census cap {census_cap}",
+                          predicted=max_order)
+    return tuple(enumerate_groupoids(order, census_cap) for order in range(1, max_order + 1))
+
+
+def converse_probe(max_order: int, censuses: tuple[Census, ...], monoid_cap: int) -> ProbeReport:
+    """The probe over the censuses of orders 1..max_order, already built."""
+    rows = []
+    forward = True
+    for census in censuses:
+        for rep in census.representatives:
+            size, only_j = intersection_size(rep, monoid_cap)
+            principal = is_principal(rep)
+            forward &= only_j or not principal
+            rows.append(ProbeRow(census.order, rep.name, principal, size,
+                                 only_j and not principal))
+    return ProbeReport(max_order, tuple(rows), forward,
+                       tuple(row.name for row in rows if row.candidate))
+
+
 def principal_converse_search(max_order: int,
                               census_cap: int = MAX_CENSUS_ORDER,
                               monoid_cap: int = DEFAULT_MONOID_CAP) -> ProbeReport:
@@ -546,21 +562,4 @@ def principal_converse_search(max_order: int,
     monoids meet only in j.  Reports any non-principal groupoid whose
     intersection is {j}; finding one is a result to report, not an error.
     Evidence is limited to the searched range."""
-    if max_order > census_cap:
-        raise CapExceeded(f"order {max_order} exceeds census cap {census_cap}",
-                          predicted=max_order)
-    rows = []
-    forward = True
-    candidates = []
-    for order in range(1, max_order + 1):
-        census = enumerate_groupoids(order, census_cap)
-        for rep in census.representatives:
-            size, only_j = intersection_size(rep, monoid_cap)
-            principal = is_principal(rep)
-            candidate = (not principal) and only_j
-            if principal and not only_j:
-                forward = False
-            if candidate:
-                candidates.append(rep.name)
-            rows.append(ProbeRow(order, rep.name, principal, size, candidate))
-    return ProbeReport(max_order, tuple(rows), forward, tuple(candidates))
+    return converse_probe(max_order, census_through(max_order, census_cap), monoid_cap)

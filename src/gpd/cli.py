@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import io
-from .census import MAX_CENSUS_ORDER, enumerate_groupoids, principal_converse_search
+from .census import MAX_CENSUS_ORDER, census_through, converse_probe
 from .corpus import cyclic
 from .endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid, gfun
 from .errors import MathError, OperationalError
@@ -162,14 +162,14 @@ def cmd_rep(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _config(args)
-    report = principal_converse_search(args.order, cfg.cap_order, cfg.cap_monoid)
+    censuses = census_through(args.order, cfg.cap_order)
+    report = converse_probe(args.order, censuses, cfg.cap_monoid)
     if args.census_dir:
         import os
 
         os.makedirs(args.census_dir, exist_ok=True)
-        for order in range(1, args.order + 1):
-            census = enumerate_groupoids(order, cfg.cap_order)
-            io.write_json(os.path.join(args.census_dir, f"census-{order}.json"),
+        for census in censuses:
+            io.write_json(os.path.join(args.census_dir, f"census-{census.order}.json"),
                           io.census_manifest(census))
             for g in census.representatives:
                 io.save_groupoid(os.path.join(args.census_dir, f"{g.name}.json"), g)

@@ -218,14 +218,15 @@ class _Kernel:
         self.xs = np.arange(self.n, dtype=np.int32)
 
     def star_rows(self, A: np.ndarray, B: np.ndarray, side: str) -> np.ndarray:
-        """Row-wise products of two (T, n) stacks of member maps."""
+        """Row-wise products of two (T, n) stacks of member maps; UNDEFINED
+        wherever the translation f(x) x (on S', x f(x)) is undefined."""
         if side == "S":
             la = self.Pflat[A * self.n + self.xs[None, :]]
             gl = np.take_along_axis(B, la, axis=1)
-            return self.Pflat[gl * self.n + A]
+            return np.where(la < 0, UNDEFINED, self.Pflat[gl * self.n + A])
         ra = self.Pflat[self.xs[None, :] * self.n + A]
         kl = np.take_along_axis(B, ra, axis=1)
-        return self.Pflat[A * self.n + kl]
+        return np.where(ra < 0, UNDEFINED, self.Pflat[A * self.n + kl])
 
     def member_rows(self, M: np.ndarray, side: str) -> np.ndarray:
         if side == "S":

@@ -201,7 +201,7 @@ def test_census_and_probe():
     ok = classes1 == c1.count == 1
     ok &= classes2 == c2.count == 2
     ok &= total1 == c1.total_found and total2 == c2.total_found
-    report = principal_converse_search(5)
+    report = principal_converse_search(6)
     ok &= report.forward_holds
     ok &= report.candidates == ()  # a found candidate would be reported, not failed
     if report.candidates:
@@ -209,6 +209,7 @@ def test_census_and_probe():
     counts = {}
     for row in report.rows:
         counts[row.order] = counts.get(row.order, 0) + 1
-    ok &= counts == {1: 1, 2: 2, 3: 3, 4: 7, 5: 9}
+    ok &= len(report.rows) == 38
+    ok &= counts == {1: 1, 2: 2, 3: 3, 4: 7, 5: 9, 6: 16}
     elapsed = time.monotonic() - t0
     verdict("census-and-probe", ok and elapsed < 600.0)

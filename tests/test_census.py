@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import pytest
 
 from gpd import corpus
 from gpd.census import (
     Census,
+    _complete_products,
+    _involutions,
     as_isomorphism,
     automorphisms,
     canonical_form,
@@ -232,6 +235,49 @@ def test_census_matches_constructive_oracle(order, count):
         assert len(matches) == 1, g.name
         assert matches[0] not in used
         used.add(matches[0])
+
+
+# oracle 3: the unrestricted search.  Every involution, every unit set
+# inside its fixed points and every range map into that unit set, each
+# labelled structure built once.  The census builds only unit sets
+# {0..u-1} and counts the rest by a binomial weight; both must meet the
+# same classes and the same number of labelled structures.
+
+
+def oracle_unrestricted_census(n):
+    keys = set()
+    total = 0
+    for iota in _involutions(n):
+        fixed = [x for x in range(n) if iota[x] == x]
+        for k in range(1, len(fixed) + 1):
+            for units in itertools.combinations(fixed, k):
+                free = [x for x in range(n) if x not in units]
+                for choice in itertools.product(units, repeat=len(free)):
+                    rng = list(range(n))
+                    for x, v in zip(free, choice):
+                        rng[x] = v
+                    for table in _complete_products(n, iota, rng):
+                        keys.add(canonical_form(make_groupoid(n, table, iota)))
+                        total += 1
+    return keys, total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_census_matches_unrestricted_search(order):
+    census = enumerate_groupoids(order)
+    keys, total = oracle_unrestricted_census(order)
+    assert {canonical_form(rep) for rep in census.representatives} == keys
+    assert census.total_found == total
+
+
+def test_census_orbit_stabilizer():
+    # A class with automorphism group A has n!/|A| labelled members.
+    expected = {1: 1, 2: 3, 3: 10, 4: 65, 5: 341, 6: 2761}
+    for order, total in expected.items():
+        census = enumerate_groupoids(order)
+        orbits = sum(math.factorial(order) // len(automorphisms(rep))
+                     for rep in census.representatives)
+        assert orbits == census.total_found == total, order
 
 
 def test_census_order3_membership():

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from gpd import corpus, io
+from gpd import census, corpus, io
 from gpd.cli import main
 
 
@@ -154,6 +155,22 @@ def test_search_census_dir(tmp_path, capsys):
     for name in manifest["names"]:
         g = io.load_groupoid(out / f"{name}.json")
         assert g.size == 2
+
+
+def test_search_census_dir_builds_each_census_once(tmp_path, monkeypatch):
+    calls = Counter()
+    real = census.enumerate_groupoids
+
+    def counted(order, *args):
+        calls[order] += 1
+        return real(order, *args)
+
+    monkeypatch.setattr(census, "enumerate_groupoids", counted)
+    assert run(["search", "--order", 3, "--census-dir", tmp_path / "census",
+                "-o", tmp_path / "with.json"]) == 0
+    assert calls == {1: 1, 2: 1, 3: 1}
+    assert run(["search", "--order", 3, "-o", tmp_path / "without.json"]) == 0
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
 
 def test_search_cap(capsys):

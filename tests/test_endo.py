@@ -399,6 +399,15 @@ def test_certificate_law_witness_replays(c3):
         assert not oracle_associative(oracle_table(m, side))
 
 
+def test_identity_scan_sees_undefined_products(c2):
+    # With (1,1) undefined, the translation f(1) 1 (on S', 1 f(1)) is
+    # undefined for every member with f(1) = 1, so neither identity law can
+    # hold; the UNDEFINED sentinel must not wrap around to the last column.
+    m = _mutant(c2, 1, 1, -1)
+    for side in ("S", "S'"):
+        assert law_scan(m, side).identity_ok is False
+
+
 def test_certificate_is_one_way(c2):
     # The certificate is sufficient, not necessary.  On a valid groupoid the
     # translation x -> f(x) x determines f(x) by cancellation, so distinct
