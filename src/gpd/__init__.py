@@ -27,8 +27,6 @@ from .endo import (
     MonoidTable,
     canonical_elements,
     enumerate_monoid,
-    enumerate_sg,
-    enumerate_spg,
     gfun,
     involution_star,
     law_scan,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import io
 from .census import MAX_CENSUS_ORDER, census_through, converse_probe
 from .corpus import cyclic
-from .endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid, gfun
+from .endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid
 from .errors import MathError, OperationalError
 from .groupoid import (
     disjoint_union,

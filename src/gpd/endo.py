@@ -228,6 +228,13 @@ class _Kernel:
         kl = np.take_along_axis(B, ra, axis=1)
         return np.where(ra < 0, UNDEFINED, self.Pflat[A * self.n + kl])
 
+    def translation_rows(self, maps: np.ndarray, side: str) -> np.ndarray:
+        """Translations of a (T, n) stack of members: x -> f(x) x on S,
+        x -> x f(x) on S'."""
+        if side == "S":
+            return self.Pflat[maps * self.n + self.xs]
+        return self.Pflat[self.xs * self.n + maps]
+
     def member_rows(self, M: np.ndarray, side: str) -> np.ndarray:
         if side == "S":
             return (self.dm[M] == self.rm[None, :]).all(axis=1)
@@ -258,7 +265,9 @@ def _ranker(g: Groupoid, side: str):
 
 @dataclass(frozen=True, eq=False)
 class MonoidTable:
-    """A fully enumerated monoid: elements, index Cayley table, identity.
+    """A fully enumerated monoid: elements, index Cayley table, identity, and
+    ``trans``, the (|S|, n) array of each member's translation (left on S,
+    right on S').
 
     Construction verifies totality, both identity laws, and associativity
     (by the translation certificate) before the table is handed out.
@@ -269,6 +278,7 @@ class MonoidTable:
     elements: tuple[GFun, ...]
     op: np.ndarray
     identity: int
+    trans: np.ndarray
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -342,17 +352,16 @@ def enumerate_monoid(
     _, _, assoc_ok, witness = _certificate(ker, maps, side)
     if not assoc_ok:
         raise MembershipError(f"translation certificate fails at {witness}")
-    return MonoidTable(groupoid=g, side=side, elements=elements, op=op, identity=identity)
+    return MonoidTable(groupoid=g, side=side, elements=elements, op=op, identity=identity,
+                       trans=ker.translation_rows(maps, side))
 
 
-def enumerate_sg(g: Groupoid, cap: int = DEFAULT_MONOID_CAP,
-                 product_cap: int = DEFAULT_PRODUCT_CAP) -> MonoidTable:
-    return enumerate_monoid(g, "S", cap, product_cap)
-
-
-def enumerate_spg(g: Groupoid, cap: int = DEFAULT_MONOID_CAP,
-                  product_cap: int = DEFAULT_PRODUCT_CAP) -> MonoidTable:
-    return enumerate_monoid(g, "S'", cap, product_cap)
+def involution_indices(ts: MonoidTable, tsp: MonoidTable) -> np.ndarray:
+    """sigma[i] = index in ``tsp`` of the involution image of member i of ``ts``."""
+    g = ts.groupoid
+    inv = np.asarray(g.inverse, dtype=np.int32)
+    maps = np.array([f.map for f in ts.elements], dtype=np.int32)
+    return _ranker(g, tsp.side)(inv[maps[:, inv]])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +429,7 @@ def _certificate(ker: _Kernel, maps: np.ndarray, side: str):
                     law_witness = ("translation law", x, v, int(np.argmax(bad)))
     if law_witness is not None:
         return True, conditions, False, law_witness
-    rows = P[maps * n + ker.xs] if side == "S" else P[ker.xs * n + maps]
+    rows = ker.translation_rows(maps, side)
     order = np.lexsort(rows.T[::-1])
     same = np.flatnonzero((rows[order[1:]] == rows[order[:-1]]).all(axis=1))
     if len(same):
@@ -459,15 +468,3 @@ def law_scan(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> Law
         witness=witness,
     )
 
-
-def closure_scan_dense(g: Groupoid, side: str = "S", cap: int = 66_000) -> bool:
-    """Direct all-pairs closure scan (quadratic); cross-checks the factored path."""
-    maps = monoid_maps_array(g, side, cap)
-    ker = _Kernel(g)
-    total = len(maps)
-    for i in range(total):
-        F = np.broadcast_to(maps[i], maps.shape)
-        res = ker.star_rows(F, maps, side)
-        if (res < 0).any() or not ker.member_rows(res, side).all():
-            return False
-    return True

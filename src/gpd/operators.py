@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .endo import (
-    GFun,
-    MonoidTable,
-    involution_star,
-    left_translation,
-    right_translation,
-)
+from .endo import GFun, MonoidTable, left_translation, right_translation
 from .errors import ShapeError
 from .groupoid import Groupoid
 
@@ -108,16 +102,16 @@ def right_operator(f: GFun) -> LinOp:
 
 @dataclass(frozen=True)
 class Verdict:
-    passed: bool
-    witness: tuple | None = None
+    """One check outcome; ``passed`` None means skipped, the reason in ``witness``."""
 
-    def __bool__(self):
-        return self.passed
+    passed: bool | None
+    witness: tuple | str | None = None
 
-
-def _translation_stack(t: MonoidTable) -> np.ndarray:
-    fn = left_translation if t.side == "S" else right_translation
-    return np.array([fn(f) for f in t.elements], dtype=np.int64)
+    def as_dict(self):
+        out = {"pass": self.passed}
+        if self.witness is not None:
+            out["witness"] = list(self.witness) if isinstance(self.witness, tuple) else self.witness
+        return out
 
 
 def _matrix_stack(taus: np.ndarray, n: int) -> np.ndarray:
@@ -140,8 +134,7 @@ def _audit_one_side(t: MonoidTable, unit_indices, dense_indices) -> dict[str, Ve
     g = t.groupoid
     n = g.size
     total = len(t)
-    taus = _translation_stack(t)
-    mats = _matrix_stack(taus, n)
+    mats = _matrix_stack(t.trans, n)
 
     hom = Verdict(True)
     chunk = max(1, 2_000_000 // max(1, total * n * n))
@@ -154,7 +147,7 @@ def _audit_one_side(t: MonoidTable, unit_indices, dense_indices) -> dict[str, Ve
             hom = Verdict(False, (int(i0 + bad[0]), int(bad[1])))
             break
 
-    distinct = len({tuple(map(int, row)) for row in taus})
+    distinct = len({tuple(map(int, row)) for row in t.trans})
     inj = Verdict(distinct == total, None if distinct == total else (distinct, total))
 
     unit_set = set(unit_indices)
@@ -162,7 +155,7 @@ def _audit_one_side(t: MonoidTable, unit_indices, dense_indices) -> dict[str, Ve
     units_v = Verdict(True)
     dense_v = Verdict(True)
     for i, f in enumerate(t.elements):
-        op_ = LinOp(g, tuple(int(v) for v in taus[i]))
+        op_ = LinOp(g, tuple(int(v) for v in t.trans[i]))
         det = op_.determinant()
         if (det != 0) != (i in unit_set):
             units_v = Verdict(False, (i, det))
@@ -174,22 +167,18 @@ def _audit_one_side(t: MonoidTable, unit_indices, dense_indices) -> dict[str, Ve
             "dense_full_rank": dense_v}
 
 
-def _audit_mixed_action(ts: MonoidTable, tsp: MonoidTable) -> Verdict:
+def _audit_mixed_action(ts: MonoidTable, tsp: MonoidTable, sigma: np.ndarray) -> Verdict:
     """The right action of side S on C(G) through the involution.
 
     g . f is apply(right_operator(f~), g); the action law has the composite
     on the mirror side of the application order:
         act(g, f1 * f2) = act(act(g, f2), f1).
     Verified for every pair as the matrix identity
-        matrix((f1 * f2)~) = matrix(f1~) . matrix(f2~).
+        matrix((f1 * f2)~) = matrix(f1~) . matrix(f2~),
+    with sigma[i] the index in ``tsp`` of member i's involution image.
     """
-    g = ts.groupoid
-    n = g.size
-    sigma = np.array(
-        [tsp.index[involution_star(f).map] for f in ts.elements], dtype=np.int64
-    )
-    taus_p = _translation_stack(tsp)
-    mats_p = _matrix_stack(taus_p, n)
+    n = ts.groupoid.size
+    mats_p = _matrix_stack(tsp.trans, n)
     total = len(ts)
     chunk = max(1, 2_000_000 // max(1, total * n * n))
     for i0 in range(0, total, chunk):
@@ -205,6 +194,7 @@ def _audit_mixed_action(ts: MonoidTable, tsp: MonoidTable) -> Verdict:
 def representation_audit(
     ts: MonoidTable,
     tsp: MonoidTable,
+    sigma: np.ndarray,
     unit_indices_s, dense_indices_s,
     unit_indices_sp, dense_indices_sp,
 ) -> dict[str, Verdict]:
@@ -214,5 +204,5 @@ def representation_audit(
         out[f"left_{key}"] = verdict
     for key, verdict in _audit_one_side(tsp, unit_indices_sp, dense_indices_sp).items():
         out[f"right_{key}"] = verdict
-    out["mixed_right_action"] = _audit_mixed_action(ts, tsp)
+    out["mixed_right_action"] = _audit_mixed_action(ts, tsp, sigma)
     return out

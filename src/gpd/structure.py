@@ -1,35 +1,26 @@
 """Semigroup-theoretic structure of the endomorphism monoids.
 
 All operations take an enumerated ``MonoidTable`` and scan it exhaustively:
-idempotents and one-sided zeros, ideals with the generated-ideal minimality
-criterion, the group of units characterised through bijective left
-translations (cross-checked against the set of Cayley-invertible elements),
-the dense-translation submonoid, subsemigroups attached to subgroupoids,
-and the classification of antihomomorphism members.  Verdicts carry
-witnesses so a failure is reproducible from the report alone.
+idempotents and one-sided zeros, ideals and (separately) the
+generated-ideal minimality criterion, the group of units characterised
+through bijective translations (cross-checked against the set of
+Cayley-invertible elements), the dense-translation submonoid, subsemigroups
+attached to subgroupoids, and the classification of antihomomorphism
+members.  Translations are read from the table's ``trans`` array.  Verdicts
+carry witnesses so a failure is reproducible from the report alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed, ShapeError
+from .errors import EmptySubset, NotASubgroupoid, PreconditionFailed, ShapeError
 from .groupoid import UNDEFINED, Groupoid, is_principal, morphism_classify
-from .endo import (
-    GFun,
-    MonoidTable,
-    gfun,
-    involution_star,
-    iter_monoid_maps,
-    left_translation,
-    membership,
-    right_translation,
-    star,
-)
+from .endo import MonoidTable, membership
 
 
 def j_index(t: MonoidTable) -> int:
@@ -84,42 +75,36 @@ class IdealVerdict:
     left_ideal: bool
     right_ideal: bool
     ideal: bool
-    minimal_left: bool
-    minimal_right: bool
-    minimal: bool
 
 
 def ideal_check(t: MonoidTable, subset: Sequence[int]) -> IdealVerdict:
-    """Ideal membership by table scan; minimality via generated ideals.
-
-    A left (right, two-sided) ideal T is minimal exactly when the ideal
-    generated by each of its elements is all of T: S x = T, x S = T, or
-    S x S = T for every x in T.  S is a monoid here, so the generated
-    ideals automatically contain x.
-    """
+    """Left, right and two-sided ideal membership by table scan."""
     sub = sorted(set(int(i) for i in subset))
     if not sub:
         raise EmptySubset("ideal subset must be nonempty")
-    subset_set = frozenset(sub)
-    op = t.op
     arr = np.array(sub)
-    left = bool(np.isin(op[:, arr], arr).all())
-    right = bool(np.isin(op[arr, :], arr).all())
-    both = left and right
+    left = bool(np.isin(t.op[:, arr], arr).all())
+    right = bool(np.isin(t.op[arr, :], arr).all())
+    return IdealVerdict(left, right, left and right)
 
-    def gen_left(x):
-        return frozenset(int(v) for v in op[:, x])
 
-    def gen_right(x):
-        return frozenset(int(v) for v in op[x, :])
+def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
+    """Whether a subset is a minimal two-sided ideal.
 
-    def gen_two(x):
-        return frozenset(int(v) for v in op[:, op[x, :]].ravel())
-
-    minimal_left = left and all(gen_left(x) == subset_set for x in sub)
-    minimal_right = right and all(gen_right(x) == subset_set for x in sub)
-    minimal = both and all(gen_two(x) == subset_set for x in sub)
-    return IdealVerdict(left, right, both, minimal_left, minimal_right, minimal)
+    An ideal T is minimal exactly when the ideal S x S generated by each of
+    its elements is all of T.  S is a monoid here, so S x S contains x.
+    """
+    sub = [int(i) for i in subset]
+    if not ideal_check(t, sub).ideal:
+        return False
+    members = np.zeros(len(t), dtype=bool)
+    members[sub] = True
+    for x in np.flatnonzero(members):
+        generated = np.zeros_like(members)
+        generated[t.op[:, t.op[x]]] = True
+        if not np.array_equal(generated, members):
+            return False
+    return True
 
 
 def j_ideal(t: MonoidTable) -> tuple[int, ...]:
@@ -135,6 +120,17 @@ class UnitGroup:
     witness: tuple | None
 
 
+def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:
+    idx = np.array(indices, dtype=np.int64)
+    return bool(np.isin(t.op[np.ix_(idx, idx)], idx).all())
+
+
+def _bijective_translations(t: MonoidTable) -> tuple[int, ...]:
+    n = t.groupoid.size
+    bijective = (np.sort(t.trans, axis=1) == np.arange(n)).all(axis=1)
+    return tuple(int(i) for i in np.flatnonzero(bijective))
+
+
 def group_of_units(g: Groupoid, t: MonoidTable) -> UnitGroup:
     """H(1) = members whose left translation is a bijection of G.
 
@@ -143,20 +139,14 @@ def group_of_units(g: Groupoid, t: MonoidTable) -> UnitGroup:
     laws phi psi = psi phi = identity and closure are verified against the
     table.  Mirrored via right translations on side S'.
     """
-    n = g.size
-    indices = []
+    indices = _bijective_translations(t)
     inverse = {}
     witness = None
     verified = True
-    for i, f in enumerate(t.elements):
-        trans = left_translation(f) if t.side == "S" else right_translation(f)
-        if len(set(trans)) != n:
-            continue
-        indices.append(i)
-        psi = [0] * n
-        for x in g.elements():
-            y = trans[x]
-            psi[y] = g.inverse[f.map[x]]
+    for i in indices:
+        psi = [0] * g.size
+        for x, y in enumerate(t.trans[i]):
+            psi[y] = g.inverse[t.elements[i].map[x]]
         k = t.index.get(tuple(psi))
         if k is None:
             verified, witness = False, (i, "inverse not a member")
@@ -164,12 +154,11 @@ def group_of_units(g: Groupoid, t: MonoidTable) -> UnitGroup:
         inverse[i] = k
         if t.mul(i, k) != t.identity or t.mul(k, i) != t.identity:
             verified, witness = False, (i, k)
-    idx = np.array(indices)
-    if len(idx) and not np.isin(t.op[np.ix_(idx, idx)], idx).all():
+    if not _closed(t, indices):
         verified, witness = False, ("closure",)
     if t.identity not in indices:
         verified, witness = False, ("identity missing",)
-    return UnitGroup(tuple(indices), inverse, verified, witness)
+    return UnitGroup(indices, inverse, verified, witness)
 
 
 @dataclass(frozen=True)
@@ -198,51 +187,24 @@ class DenseSubmonoid:
     closed: bool
     contains_identity: bool
     left_cancellative: bool
-    involution_matches: bool
     witness: tuple | None
 
 
 def dense_submonoid(g: Groupoid, t: MonoidTable) -> DenseSubmonoid:
     """Members whose translation image is dense, i.e. all of G at finite
-    discrete scale.  Verifies closure, the identity, exhaustive left
-    cancellativity, and that the involution carries the set onto its mirror
-    (computed independently on the other side)."""
-    n = g.size
-    indices = []
-    for i, f in enumerate(t.elements):
-        trans = left_translation(f) if t.side == "S" else right_translation(f)
-        if len(set(trans)) == n:
-            indices.append(i)
-    idx = np.array(indices)
-    closed = bool(len(idx) == 0 or np.isin(t.op[np.ix_(idx, idx)], idx).all())
-    contains_identity = t.identity in indices
-
-    cancel = True
+    discrete scale.  Verifies closure, the identity and exhaustive left
+    cancellativity; the report matches the set with its mirror through the
+    involution."""
+    indices = _bijective_translations(t)
     witness = None
-    for i in indices:
-        row = t.op[i]
-        if len(set(int(v) for v in row)) != len(t):
-            cancel = False
-            dup = {}
-            for k, v in enumerate(row):
-                if int(v) in dup:
-                    witness = (i, dup[int(v)], k)
-                    break
-                dup[int(v)] = k
+    for i in indices:  # find the first column whose product repeats an earlier one
+        row, first = t.op[i].tolist(), {}
+        k = next((k for k, v in enumerate(row) if first.setdefault(v, k) != k), None)
+        if k is not None:
+            witness = (i, first[row[k]], k)
             break
-
-    mirror_side = "S'" if t.side == "S" else "S"
-    mirror = set()
-    for m in iter_monoid_maps(g, mirror_side):
-        f = gfun(g, m)
-        trans = right_translation(f) if mirror_side == "S'" else left_translation(f)
-        if len(set(trans)) == n:
-            mirror.add(m)
-    image = {involution_star(t.elements[i]).map for i in indices}
-    involution_matches = image == mirror
-
-    return DenseSubmonoid(tuple(indices), closed, contains_identity, cancel,
-                          involution_matches, witness)
+    return DenseSubmonoid(indices, _closed(t, indices), t.identity in indices,
+                          witness is None, witness)
 
 
 def validate_subgroupoid(g: Groupoid, a: Sequence[int]) -> tuple[int, ...]:
@@ -279,22 +241,14 @@ def subgroupoid_semigroup(g: Groupoid, a: Sequence[int], t: MonoidTable) -> Subg
     preserves A exactly when its translation map does.
     """
     sub = validate_subgroupoid(g, a)
-    sub_set = set(sub)
-    indices = [i for i, f in enumerate(t.elements) if all(f.map[x] in sub_set for x in sub)]
-    idx = np.array(indices)
-    closed = bool(len(idx) == 0 or np.isin(t.op[np.ix_(idx, idx)], idx).all())
-
-    agrees = True
-    witness = None
-    for i, f in enumerate(t.elements):
-        trans = left_translation(f) if t.side == "S" else right_translation(f)
-        in_ia = all(f.map[x] in sub_set for x in sub)
-        trans_in_ia = all(trans[x] in sub_set for x in sub)
-        if in_ia != trans_in_ia:
-            agrees = False
-            witness = (i,)
-            break
-    return SubgroupoidSemigroup(sub, tuple(indices), closed, agrees, witness)
+    in_sub = np.zeros(g.size, dtype=bool)
+    in_sub[list(sub)] = True
+    maps = np.array([f.map for f in t.elements])
+    preserves = in_sub[maps[:, sub]].all(axis=1)
+    indices = tuple(int(i) for i in np.flatnonzero(preserves))
+    mismatch = np.flatnonzero(preserves != in_sub[t.trans[:, sub]].all(axis=1))
+    witness = (int(mismatch[0]),) if len(mismatch) else None
+    return SubgroupoidSemigroup(sub, indices, _closed(t, indices), witness is None, witness)
 
 
 @dataclass(frozen=True)

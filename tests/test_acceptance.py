@@ -27,6 +27,7 @@ from gpd.census import (
 from gpd.endo import (
     enumerate_monoid,
     gfun,
+    involution_indices,
     involution_star,
     law_scan,
     predicted_size,
@@ -149,12 +150,17 @@ def test_units(table_corpus):
 def test_dense_submonoid(table_corpus):
     ok = True
     for name, g, ts, tsp in table_corpus:
+        dense = {}
         for t in (ts, tsp):
             tg = dense_submonoid(g, t)
             h1 = group_of_units(g, t)
             ok &= tg.indices == h1.indices
             ok &= tg.closed and tg.contains_identity and tg.left_cancellative
-            ok &= tg.involution_matches
+            dense[t.side] = [t.elements[i] for i in tg.indices]
+        # the involution carries each side's dense set onto the other's
+        for side, mirror in (("S", "S'"), ("S'", "S")):
+            image = {involution_star(f).map for f in dense[side]}
+            ok &= image == {f.map for f in dense[mirror]}
     verdict("dense-submonoid", ok)
 
 
@@ -166,7 +172,8 @@ def test_operator_representation(table_corpus):
         h1p = group_of_units(g, tsp)
         tgp = dense_submonoid(g, tsp)
         verdicts = representation_audit(
-            ts, tsp, h1.indices, tg.indices, h1p.indices, tgp.indices
+            ts, tsp, involution_indices(ts, tsp),
+            h1.indices, tg.indices, h1p.indices, tgp.indices,
         )
         ok &= all(v.passed for v in verdicts.values())
     verdict("operator-representation", ok)

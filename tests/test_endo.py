@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from gpd import corpus
 from gpd.endo import (
     LawScan,
+    _Kernel,
     canonical_elements,
-    closure_scan_dense,
     enumerate_monoid,
     gfun,
+    involution_indices,
     involution_star,
     iter_monoid_maps,
     law_scan,
@@ -263,8 +264,39 @@ def test_monoid_membership_flags(sg_pair2):
     assert len(inter) == 1  # pair groupoids: only j
 
 
+def test_translation_array_matches_scalar(small_corpus):
+    # t.trans row i is the scalar translation of member i, on both sides
+    for name, g in small_corpus:
+        for side, fn in (("S", left_translation), ("S'", right_translation)):
+            t = enumerate_monoid(g, side)
+            assert t.trans.shape == (len(t), g.size), (name, side)
+            for i, f in enumerate(t.elements):
+                assert tuple(int(v) for v in t.trans[i]) == fn(f), (name, side, i)
+
+
+def test_involution_indices_match_scalar(small_corpus):
+    for name, g in small_corpus:
+        ts, tsp = enumerate_monoid(g, "S"), enumerate_monoid(g, "S'")
+        sigma = involution_indices(ts, tsp)
+        assert [int(k) for k in sigma] == [
+            tsp.index[involution_star(f).map] for f in ts.elements
+        ], name
+
+
 # ---------------------------------------------------------------------------
 # bulk scans
+
+
+def closure_scan_dense(g, side="S", cap=66_000):
+    """Direct all-pairs closure scan (quadratic); cross-checks the factored path."""
+    maps = monoid_maps_array(g, side, cap)
+    ker = _Kernel(g)
+    for i in range(len(maps)):
+        F = np.broadcast_to(maps[i], maps.shape)
+        res = ker.star_rows(F, maps, side)
+        if (res < 0).any() or not ker.member_rows(res, side).all():
+            return False
+    return True
 
 
 def test_law_scan_small_and_dense_crosscheck(small_corpus):

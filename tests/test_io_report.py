@@ -4,10 +4,11 @@ import pytest
 
 from gpd import corpus, io
 from gpd.census import enumerate_groupoids, principal_converse_search
-from gpd.endo import enumerate_monoid, gfun
+from gpd.endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid, gfun
 from gpd.errors import ShapeError
 from gpd.operators import left_operator
-from gpd.report import CHECK_IDS, full_report
+import gpd.report
+from gpd.report import CHECK_IDS, _Ctx, full_report
 
 
 def test_groupoid_round_trip(tmp_path, pair2):
@@ -130,6 +131,33 @@ def test_full_report_corpus(small_corpus):
         for verdict in d["checks"].values():
             assert verdict["pass"] is True
         io.dump_bytes(d)  # serializable
+
+
+def test_report_enumerates_only_what_checks_read(c2, monkeypatch):
+    sides = []
+
+    def counting(g, side="S", *args):
+        sides.append(side)
+        return enumerate_monoid(g, side, *args)
+
+    monkeypatch.setattr(gpd.report, "enumerate_monoid", counting)
+    assert full_report(c2, ("CLOSING",)).all_passed
+    assert sides == ["S"]
+    sides.clear()
+    assert full_report(c2).all_passed
+    assert sorted(sides) == ["S", "S'"]
+
+
+def test_p311_catches_involution_fault(c2):
+    # C2: the units of S are 0 and 3; member 1 (= j) of S' is not dense
+    ctx = _Ctx(c2, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    assert gpd.report._check_p311(ctx).passed
+    assert ctx.tg.indices == (0, 3) and 1 not in ctx.tgp.indices
+    ctx.sigma = ctx.sigma.copy()
+    ctx.sigma[3] = 1
+    verdict = gpd.report._check_p311(ctx)
+    assert verdict.passed is False
+    assert verdict.witness == ("involution", "S", 3)
 
 
 def test_report_dict_shape(pair2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpd import corpus
-from gpd.endo import enumerate_monoid, gfun, involution_star, star
+from gpd.endo import enumerate_monoid, gfun, involution_indices, involution_star, star
 from gpd.errors import MembershipError, ShapeError
 from gpd.operators import (
     LinOp,
@@ -100,7 +100,8 @@ def _audit(g):
     tg = dense_submonoid(g, ts)
     h1p = group_of_units(g, tsp)
     tgp = dense_submonoid(g, tsp)
-    return representation_audit(ts, tsp, h1.indices, tg.indices, h1p.indices, tgp.indices)
+    return representation_audit(ts, tsp, involution_indices(ts, tsp),
+                                h1.indices, tg.indices, h1p.indices, tgp.indices)
 
 
 def test_representation_audit_c2(c2):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gpd import corpus
-from gpd.endo import enumerate_monoid, gfun, iter_monoid_maps, star
+from gpd.endo import enumerate_monoid, gfun, involution_star, iter_monoid_maps, star
 from gpd.errors import EmptySubset, NotASubgroupoid, PreconditionFailed
 from gpd.structure import (
     antihom_classification,
@@ -16,6 +16,7 @@ from gpd.structure import (
     j_ideal,
     j_index,
     left_zero_criterion,
+    minimal_ideal,
     range_domain_criterion,
     special_elements,
     subgroupoid_semigroup,
@@ -94,19 +95,41 @@ def test_left_zero_criterion():
 def test_j_ideal_minimal_c2(sg_c2):
     ideal = j_ideal(sg_c2)
     assert ideal == (1, 2)
-    verdict = ideal_check(sg_c2, ideal)
-    assert verdict.ideal and verdict.minimal
+    assert ideal_check(sg_c2, ideal).ideal and minimal_ideal(sg_c2, ideal)
     # the full monoid is an ideal but not minimal here
-    whole = ideal_check(sg_c2, range(len(sg_c2)))
-    assert whole.ideal and not whole.minimal
+    whole = range(len(sg_c2))
+    assert ideal_check(sg_c2, whole).ideal and not minimal_ideal(sg_c2, whole)
 
 
 def test_j_ideal_minimal_everywhere(small_corpus):
     for name, g in small_corpus:
         for side in ("S", "S'"):
             t = enumerate_monoid(g, side)
-            verdict = ideal_check(t, j_ideal(t))
-            assert verdict.ideal and verdict.minimal, (name, side)
+            assert minimal_ideal(t, j_ideal(t)), (name, side)
+
+
+def oracle_minimal_ideal(t, subset):
+    """The generated-ideal loop: an ideal T with S x S = T for every x in T."""
+    sub = frozenset(int(i) for i in subset)
+    verdict = ideal_check(t, sub)
+    return verdict.ideal and all(
+        frozenset(int(v) for v in t.op[:, t.op[x, :]].ravel()) == sub for x in sub
+    )
+
+
+def test_minimal_ideal_matches_loop_oracle(small_corpus):
+    outcomes = set()
+    for name, g in small_corpus:
+        for side in ("S", "S'"):
+            t = enumerate_monoid(g, side)
+            spec = special_elements(t)
+            subsets = [j_ideal(t), range(len(t)), (t.identity,), spec.right_zeros,
+                       intersection_analysis(g, t).indices]
+            for subset in subsets:
+                expect = oracle_minimal_ideal(t, subset)
+                assert minimal_ideal(t, subset) == expect, (name, side, tuple(subset))
+                outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_intersection_left_ideal(sg_c2, sg_pair2):
@@ -158,7 +181,10 @@ def test_dense_submonoid(sg_c2, small_corpus):
         assert tg.indices == h1.indices, name  # finite case: dense = bijective
         assert tg.closed and tg.contains_identity, name
         assert tg.left_cancellative, name
-        assert tg.involution_matches, name
+        # the involution carries T_G onto the mirror set of side S'
+        tsp = enumerate_monoid(g, "S'")
+        mirror = {tsp.elements[k].map for k in dense_submonoid(g, tsp).indices}
+        assert {involution_star(t.elements[i]).map for i in tg.indices} == mirror, name
 
 
 def test_subgroupoid_validation():
