@@ -294,6 +294,18 @@ class MonoidTable:
         return f"<monoid {self.side} of {self.groupoid!r}: {len(self)} elements>"
 
 
+def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int] | None:
+    """The first (i, j), row-major, where trans[op[i, j]] != trans[j] o trans[i]
+    (None if there is none): the L3.7 law tau_{i*j} = tau_j o tau_i against a
+    stored table, and so the operator law M(tau_{i*j}) = M(tau_i) M(tau_j)."""
+    cols = np.ascontiguousarray(trans.T)  # cols[x, k] = tau_k(x)
+    for i in range(len(op)):
+        bad = np.take(cols, op[i], axis=1) != cols[trans[i]]
+        if bad.any():
+            return i, int(np.argmax(bad.any(axis=0)))
+    return None
+
+
 def _fill_op_table(ker: _Kernel, maps: np.ndarray, side: str, rank) -> np.ndarray:
     n, total = ker.n, len(maps)
     op = np.empty((total, total), dtype=np.int32)

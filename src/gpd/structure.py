@@ -168,17 +168,18 @@ class CrossCheck:
     witness: tuple | None
 
 
+def cayley_units(t: MonoidTable) -> tuple[int, ...]:
+    """The two-sided-invertible members, read from the Cayley table alone."""
+    m = t.op == t.identity
+    return tuple(int(i) for i in np.flatnonzero((m & m.T).any(axis=1)))
+
+
 def units_crosscheck(t: MonoidTable, h1: UnitGroup) -> CrossCheck:
     """Independently compute the two-sided-invertible set from the table and
     compare it with H(1); this is the maximality claim at testable level."""
-    e = t.identity
-    m = t.op == e
-    inv_set = tuple(int(i) for i in np.flatnonzero((m & m.T).any(axis=1)))
-    agrees = inv_set == tuple(sorted(h1.indices))
-    witness = None
-    if not agrees:
-        witness = tuple(sorted(set(inv_set) ^ set(h1.indices)))
-    return CrossCheck(agrees, inv_set, witness)
+    inv_set = cayley_units(t)
+    stray = tuple(sorted(set(inv_set) ^ set(h1.indices)))
+    return CrossCheck(not stray, inv_set, stray or None)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,25 @@
+import dataclasses
 import json
 
 import pytest
 
 from gpd import corpus, io
 from gpd.census import enumerate_groupoids, principal_converse_search
-from gpd.endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid, gfun
+from gpd.endo import (
+    DEFAULT_MONOID_CAP,
+    DEFAULT_PRODUCT_CAP,
+    enumerate_monoid,
+    gfun,
+    involution_star,
+    left_translation,
+    right_translation,
+    star,
+    star_prime,
+)
 from gpd.errors import ShapeError
 from gpd.operators import left_operator
 import gpd.report
+import gpd.structure
 from gpd.report import CHECK_IDS, _Ctx, full_report
 
 
@@ -158,6 +170,52 @@ def test_p311_catches_involution_fault(c2):
     verdict = gpd.report._check_p311(ctx)
     assert verdict.passed is False
     assert verdict.witness == ("involution", "S", 3)
+
+
+def test_p311_units_come_from_the_table(c2, monkeypatch):
+    # T_G and H(1) share the bijective-translation test; P3.11 compares T_G
+    # with the Cayley-invertible set, so a wrong predicate is caught
+    assert full_report(c2, ("P3.11",)).all_passed
+    monkeypatch.setattr(gpd.structure, "_bijective_translations", lambda t: (t.identity,))
+    verdict = full_report(c2, ("P3.11",)).verdicts["P3.11"]
+    assert verdict.as_dict() == {"pass": False, "witness": ["S", "units", 3]}
+
+
+def _corrupt(t, i, j):
+    """The table with cell (i, j) moved to the next member index."""
+    op = t.op.copy()
+    op[i, j] = (op[i, j] + 1) % len(t)
+    return dataclasses.replace(t, op=op)
+
+
+def _law_verdicts(g, side, i, j):
+    ctx = _Ctx(g, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    if side == "S":
+        ctx.ts = _corrupt(ctx.ts, i, j)
+    else:
+        ctx.tsp = _corrupt(ctx.tsp, i, j)
+    return ctx, {cid: gpd.report._CHECKS[cid](ctx) for cid in ("L3.7", "P4.1", "P4.2", "C4.3")}
+
+
+def test_law_checks_fail_on_a_corrupted_cell(c3):
+    i, j = 5, 11
+    ctx, v = _law_verdicts(c3, "S", i, j)
+    ts, w = ctx.ts, int(ctx.ts.op[i, j])
+    assert [cid for cid, verdict in v.items() if not verdict.passed] == ["L3.7", "P4.1", "C4.3"]
+    assert v["L3.7"].witness == (i, j)
+    assert v["P4.1"].witness == ("left_hom", (i, j))
+    assert v["C4.3"].witness == (i, j)
+    fi, fj, fw = ts.elements[i], ts.elements[j], ts.elements[w]
+    assert left_translation(star(fi, fj)) != left_translation(fw)
+    mirrored = star_prime(involution_star(fi), involution_star(fj))
+    assert right_translation(mirrored) != right_translation(involution_star(fw))
+
+    ctx, v = _law_verdicts(c3, "S'", i, j)
+    tsp, w = ctx.tsp, int(ctx.tsp.op[i, j])
+    assert [cid for cid, verdict in v.items() if not verdict.passed] == ["P4.2"]
+    assert v["P4.2"].witness == ("right_hom", (i, j))
+    hi, hj = tsp.elements[i], tsp.elements[j]
+    assert right_translation(star_prime(hi, hj)) != right_translation(tsp.elements[w])
 
 
 def test_report_dict_shape(pair2):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from gpd import corpus
-from gpd.endo import enumerate_monoid, gfun, involution_indices, involution_star, star
+from gpd.endo import (
+    enumerate_monoid,
+    gfun,
+    involution_indices,
+    involution_star,
+    star,
+    translation_law_witness,
+)
 from gpd.errors import MembershipError, ShapeError
 from gpd.operators import (
     LinOp,
@@ -133,3 +140,64 @@ def test_mixed_action_vector_form(sg_c2, spg_c2):
         prod = sg_c2.elements[sg_c2.mul(sg_c2.index[f1.map], sg_c2.index[f2.map])]
         for vec in basis:
             assert act(vec, prod) == act(act(vec, f2), f1)
+
+
+# the operator homomorphism law by integer matmul over every pair, kept here
+# as an oracle independent of the translation-array evaluation in the audit
+
+
+def _matrix_stack(taus, n):
+    total = len(taus)
+    mats = np.zeros((total, n, n), dtype=np.int64)
+    mats[np.arange(total)[:, None], np.arange(n)[None, :], taus] = 1
+    return mats
+
+
+def matmul_law_witness(trans, op):
+    """First (i, j), row-major, with M(tau_i) M(tau_j) != M(tau_{op[i, j]})."""
+    n = trans.shape[1]
+    mats = _matrix_stack(trans, n)
+    total = len(op)
+    chunk = max(1, 2_000_000 // max(1, total * n * n))
+    for i0 in range(0, total, chunk):
+        blk = mats[i0:i0 + chunk]
+        prod = np.matmul(blk[:, None, :, :], mats[None, :, :, :])
+        expect = mats[op[i0:i0 + len(blk)]]
+        if not np.array_equal(prod, expect):
+            bad = np.argwhere((prod != expect).any(axis=(2, 3)))[0]
+            return int(i0 + bad[0]), int(bad[1])
+    return None
+
+
+def test_translation_law_agrees_with_matmul_oracle(small_corpus):
+    for name, g in small_corpus:
+        ts, tsp = enumerate_monoid(g, "S"), enumerate_monoid(g, "S'")
+        assert len(ts) <= 256, name
+        sigma = involution_indices(ts, tsp)
+        # side S, side S', and the mixed action through the involution
+        for trans, op in ((ts.trans, ts.op), (tsp.trans, tsp.op), (tsp.trans[sigma], ts.op)):
+            assert translation_law_witness(trans, op) == matmul_law_witness(trans, op) is None
+
+
+def test_translation_law_witness_matches_oracle_on_mutants(c2, c3, pair2):
+    # every wrong value in every cell for C2 and pair(2); for C3 (729 cells
+    # per side) each cell moves to the next index
+    cases = 0
+    for g, every_value in ((c2, True), (pair2, True), (c3, False)):
+        for side in ("S", "S'"):
+            t = enumerate_monoid(g, side)
+            total = len(t)
+            assert translation_law_witness(t.trans, t.op) is None
+            for i, j in itertools.product(range(total), repeat=2):
+                v = int(t.op[i, j])
+                values = range(total) if every_value else [(v + 1) % total]
+                op = t.op.copy()
+                for w in values:
+                    if w == v:
+                        continue
+                    op[i, j] = w
+                    witness = translation_law_witness(t.trans, op)
+                    # translations are injective, so the cell itself is the witness
+                    assert witness == matmul_law_witness(t.trans, op) == (i, j)
+                    cases += 1
+    assert cases == 2 * (16 * 3 + 256 * 15 + 729)
