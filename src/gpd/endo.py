@@ -11,9 +11,10 @@ Enumeration walks the per-position fibers in lexicographic order of the map
 arrays, so element indices are deterministic.  Associativity is certified,
 never sampled, by Lemma 3.7: the product is closed, distinct members have
 distinct translations, and each translation law holds at every
-(x, f(x), g), which covers all |S|^3 triples exactly.  Cayley tables and
-the certificate are vectorized with numpy; the scalar ``star``/``star_prime``
-functions are the semantic reference the vector paths are tested against.
+(x, f(x), g), which covers all |S|^3 triples exactly.  It is the one
+vectorized (numpy) product evaluation: Cayley tables and the identity laws
+are read off its columns.  The scalar ``star``/``star_prime`` functions are
+the semantic reference the vector paths are tested against.
 """
 
 from __future__ import annotations
@@ -214,19 +215,7 @@ class _Kernel:
         self.Pflat = self.P.ravel()
         self.rm = np.asarray(g.range_map, dtype=np.int32)
         self.dm = np.asarray(g.domain_map, dtype=np.int32)
-        self.inv = np.asarray(g.inverse, dtype=np.int32)
         self.xs = np.arange(self.n, dtype=np.int32)
-
-    def star_rows(self, A: np.ndarray, B: np.ndarray, side: str) -> np.ndarray:
-        """Row-wise products of two (T, n) stacks of member maps; UNDEFINED
-        wherever the translation f(x) x (on S', x f(x)) is undefined."""
-        if side == "S":
-            la = self.Pflat[A * self.n + self.xs[None, :]]
-            gl = np.take_along_axis(B, la, axis=1)
-            return np.where(la < 0, UNDEFINED, self.Pflat[gl * self.n + A])
-        ra = self.Pflat[self.xs[None, :] * self.n + A]
-        kl = np.take_along_axis(B, ra, axis=1)
-        return np.where(ra < 0, UNDEFINED, self.Pflat[A * self.n + kl])
 
     def translation_rows(self, maps: np.ndarray, side: str) -> np.ndarray:
         """Translations of a (T, n) stack of members: x -> f(x) x on S,
@@ -241,8 +230,9 @@ class _Kernel:
         return (self.rm[M] == self.dm[None, :]).all(axis=1)
 
 
-def _ranker(g: Groupoid, side: str):
-    """Mixed-radix rank of a member map into the lexicographic enumeration."""
+def _radix(g: Groupoid, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """pos[x, y] = y's place in x's sorted fiber (-1 off it), and the strides
+    numbering member f lexicographically as sum_x strides[x] * pos[x, f(x)]."""
     fibers = _position_fibers(g, side)
     n = g.size
     pos = -np.ones((n, g.size), dtype=np.int64)
@@ -252,15 +242,16 @@ def _ranker(g: Groupoid, side: str):
     strides = np.ones(n, dtype=np.int64)
     for x in range(n - 2, -1, -1):
         strides[x] = strides[x + 1] * len(fibers[x + 1])
+    return pos, strides
 
-    def rank(rows: np.ndarray) -> np.ndarray:
-        p = pos[np.arange(n)[None, :], rows]
-        if (p < 0).any():
-            bad = np.argwhere(p < 0)[0]
-            raise MembershipError(f"row {bad[0]} leaves its fiber at position {bad[1]}")
-        return (p * strides[None, :]).sum(axis=1)
 
-    return rank
+def _rank(pos: np.ndarray, strides: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Member indices of a (T, n) stack of maps under ``_radix``'s numbering."""
+    p = pos[np.arange(len(strides))[None, :], rows]
+    if (p < 0).any():
+        bad = np.argwhere(p < 0)[0]
+        raise MembershipError(f"row {bad[0]} leaves its fiber at position {bad[1]}")
+    return (p * strides[None, :]).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,22 +297,6 @@ def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int
     return None
 
 
-def _fill_op_table(ker: _Kernel, maps: np.ndarray, side: str, rank) -> np.ndarray:
-    n, total = ker.n, len(maps)
-    op = np.empty((total, total), dtype=np.int32)
-    chunk = max(1, 4_000_000 // max(1, total * n))
-    for i0 in range(0, total, chunk):
-        F = maps[i0:i0 + chunk]
-        k = len(F)
-        rep = np.repeat(F, total, axis=0)
-        til = np.tile(maps, (k, 1))
-        res = ker.star_rows(rep, til, side)
-        if (res < 0).any():
-            raise MembershipError("closure failed while filling the Cayley table")
-        op[i0:i0 + k] = rank(res).reshape(k, total)
-    return op
-
-
 def enumerate_monoid(
     g: Groupoid,
     side: str = "S",
@@ -332,8 +307,10 @@ def enumerate_monoid(
 
     Raises CapExceeded before doing any work if the predicted element count
     exceeds ``cap`` or the table would need more than ``product_cap``
-    products.  Runtime is dominated by the table fill; associativity comes
-    from the translation certificate, not from a scan of the table.
+    products.  The translation certificate proves closure and associativity
+    first; the table is then summed from its product columns, since member
+    indices are mixed-radix numbers of fiber positions:
+    op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]].
     """
     pred = predicted_size(g, side)
     if pred > cap:
@@ -354,16 +331,18 @@ def enumerate_monoid(
         for i in range(total)
     )
 
-    rank = _ranker(g, side)
-    op = _fill_op_table(ker, maps, side, rank)
-    ident_map = g.range_map if side == "S" else g.domain_map
-    identity = int(rank(np.asarray(ident_map, dtype=np.int32)[None, :])[0])
+    _, _, assoc_ok, witness, cols = _certificate(ker, maps, side)
+    if not assoc_ok:
+        raise MembershipError(f"translation certificate fails at {witness}")
+    pos, strides = _radix(g, side)
+    op = np.zeros((total, total), dtype=np.int32)
+    for x, col in enumerate(cols):  # axis 1 of each view below is digit_x(i)
+        if len(col) > 1:  # a one-value fiber only adds position 0
+            op.reshape(-1, len(col), strides[x], total)[...] += (pos[x, col] * strides[x])[:, None]
+    identity = int(_rank(pos, strides, np.array([g.range_map if side == "S" else g.domain_map]))[0])
     idx = np.arange(total)
     if not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
         raise MembershipError("identity law fails in the Cayley table")
-    _, _, assoc_ok, witness = _certificate(ker, maps, side)
-    if not assoc_ok:
-        raise MembershipError(f"translation certificate fails at {witness}")
     return MonoidTable(groupoid=g, side=side, elements=elements, op=op, identity=identity,
                        trans=ker.translation_rows(maps, side))
 
@@ -373,7 +352,7 @@ def involution_indices(ts: MonoidTable, tsp: MonoidTable) -> np.ndarray:
     g = ts.groupoid
     inv = np.asarray(g.inverse, dtype=np.int32)
     maps = np.array([f.map for f in ts.elements], dtype=np.int32)
-    return _ranker(g, tsp.side)(inv[maps[:, inv]])
+    return _rank(*_radix(g, tsp.side), inv[maps[:, inv]])
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +389,35 @@ def _certificate(ker: _Kernel, maps: np.ndarray, side: str):
     P[x, (h?k)(x)] = P[c, k[c]].  Scanning every (x, v, g) with v over the
     fiber of x therefore covers every (f, g, x) exactly; nothing is sampled.
 
-    Returns (closure_ok, closure_conditions, assoc_ok, witness).  The
+    The scan keeps its product columns: row p of cols[x], shape (k_x, |S|),
+    holds (f * g_j)(x) for every member j and any f taking x to the p-th
+    value of x's sorted fiber (UNDEFINED where undefined): the Cayley table
+    in factored form.  The scan runs on past a closure failure to fill them.
+
+    Returns (closure_ok, closure_conditions, assoc_ok, witness, cols).  The
     witness names the failed premise: ("closure", x, v, g),
     ("translation law", x, v, g) with g a member index, or
     ("injectivity", i, j) for two members with equal translations.
     """
     n, P = ker.n, ker.Pflat
-    conditions, law_witness = 0, None
-    for x in range(n):
-        for v in (int(w) for w in np.unique(maps[:, x])):
+    conditions, closure, law_witness, cols = 0, None, None, []
+    for x, fiber in enumerate(_position_fibers(ker.g, side)):
+        cols.append(np.full((len(fiber), len(maps)), UNDEFINED, dtype=np.int32))
+        for p, v in enumerate(fiber):
             c = int(ker.P[v, x] if side == "S" else ker.P[x, v])
             conditions += len(maps)
             if c < 0:  # no product is defined at x
-                return False, conditions, False, ("closure", x, v, 0)
+                closure = closure or (conditions, ("closure", x, v, 0))
+                continue
             gc = maps[:, c]
             if side == "S":
-                res = P[gc * n + v]
+                res = cols[x][p] = P[gc * n + v]
                 good = (res >= 0) & (ker.dm[np.maximum(res, 0)] == ker.rm[x])
             else:
-                res = P[v * n + gc]
+                res = cols[x][p] = P[v * n + gc]
                 good = (res >= 0) & (ker.rm[np.maximum(res, 0)] == ker.dm[x])
             if not good.all():
-                return False, conditions, False, ("closure", x, v, int(np.argmax(~good)))
+                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good))))
             if law_witness is None:
                 if side == "S":
                     bad = P[res * n + x] != P[gc * n + c]
@@ -439,44 +425,42 @@ def _certificate(ker: _Kernel, maps: np.ndarray, side: str):
                     bad = P[x * n + res] != P[c * n + gc]
                 if bad.any():
                     law_witness = ("translation law", x, v, int(np.argmax(bad)))
-    if law_witness is not None:
-        return True, conditions, False, law_witness
+    if closure is not None:
+        return False, closure[0], False, closure[1], cols
     rows = ker.translation_rows(maps, side)
     order = np.lexsort(rows.T[::-1])
     same = np.flatnonzero((rows[order[1:]] == rows[order[:-1]]).all(axis=1))
-    if len(same):
-        i, j = sorted(int(order[k]) for k in (same[0], same[0] + 1))
-        return True, conditions, False, ("injectivity", i, j)
-    return True, conditions, True, None
+    if law_witness is None and len(same):
+        law_witness = ("injectivity", *sorted(int(order[k]) for k in (same[0], same[0] + 1)))
+    return True, conditions, law_witness is None, law_witness, cols
 
 
 def law_scan(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> LawScan:
     """Verify the monoid laws of one side without storing a Cayley table.
 
-    The identity laws are checked against every member.  Closure and
-    associativity come from the translation certificate (L3.7), which
-    covers every pair and every triple exactly.
+    The translation certificate (L3.7) proves closure and associativity on
+    every pair and triple; the identity laws are read off its product
+    columns for every member: e * g at row e(x) of cols[x], f * e at column e.
     """
     maps = monoid_maps_array(g, side, cap)
     ker = _Kernel(g)
-    n, total = g.size, len(maps)
-
-    ident = np.asarray(g.range_map if side == "S" else g.domain_map, dtype=np.int32)
-    ident_block = np.broadcast_to(ident, (total, n))
-    left_id = ker.star_rows(ident_block, maps, side)
-    right_id = ker.star_rows(maps, ident_block, side)
-    identity_ok = np.array_equal(left_id, maps) and np.array_equal(right_id, maps)
-
-    closure_ok, conditions, assoc_ok, witness = _certificate(ker, maps, side)
+    closure_ok, conditions, assoc_ok, witness, cols = _certificate(ker, maps, side)
+    pos, strides = _radix(g, side)
+    digits = pos[ker.xs, g.range_map if side == "S" else g.domain_map]
+    e = int(digits @ strides)
+    identity_ok = (digits >= 0).all() and all(
+        np.array_equal(col[d], maps[:, x]) and np.array_equal(col[:, e], fiber)
+        for x, (col, d, fiber) in enumerate(zip(cols, digits, _position_fibers(g, side)))
+    )
     return LawScan(
         side=side,
-        size=total,
+        size=len(maps),
         identity_ok=bool(identity_ok),
         closure_ok=closure_ok,
         closure_conditions=conditions,
         assoc_ok=assoc_ok,
         assoc_mode="certificate",
-        assoc_triples=total ** 3,
+        assoc_triples=len(maps) ** 3,
         witness=witness,
     )
 

@@ -174,10 +174,11 @@ class _Ctx:
 
     @cached_property
     def rep_verdicts(self):
+        # units read from the tables, so "det != 0 exactly on units" is independent of h1
         return representation_audit(
             self.ts, self.tsp, self.sigma,
-            self.h1.indices, self.tg.indices,
-            self.h1p.indices, self.tgp.indices,
+            cayley_units(self.ts), self.tg.indices,
+            cayley_units(self.tsp), self.tgp.indices,
         )
 
 

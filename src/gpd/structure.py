@@ -82,9 +82,10 @@ def ideal_check(t: MonoidTable, subset: Sequence[int]) -> IdealVerdict:
     sub = sorted(set(int(i) for i in subset))
     if not sub:
         raise EmptySubset("ideal subset must be nonempty")
-    arr = np.array(sub)
-    left = bool(np.isin(t.op[:, arr], arr).all())
-    right = bool(np.isin(t.op[arr, :], arr).all())
+    mask = np.zeros(len(t), dtype=bool)
+    mask[sub] = True
+    left = bool(mask[t.op[:, sub]].all())
+    right = bool(mask[t.op[sub, :]].all())
     return IdealVerdict(left, right, left and right)
 
 
@@ -121,8 +122,9 @@ class UnitGroup:
 
 
 def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:
-    idx = np.array(indices, dtype=np.int64)
-    return bool(np.isin(t.op[np.ix_(idx, idx)], idx).all())
+    mask = np.zeros(len(t), dtype=bool)
+    mask[list(indices)] = True
+    return bool(mask[t.op[np.ix_(mask, mask)]].all())
 
 
 def _bijective_translations(t: MonoidTable) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from gpd.endo import (
     translation_maps,
 )
 from gpd.errors import BaseMismatch, CapExceeded, MembershipError, ShapeError
+from gpd.groupoid import UNDEFINED
 
 # ---------------------------------------------------------------------------
 # oracle: the full star table of C(C2, C2), computed from the definition.
@@ -216,10 +217,14 @@ def test_enumeration_matches_prediction(small_corpus):
 
 
 def test_unit_groupoid_monoid_is_trivial():
-    u2 = corpus.unit_groupoid(2)
-    t = enumerate_monoid(u2, "S")
-    assert len(t) == 1
-    assert t.elements[0].map == (0, 1)
+    # 64 positions: one array axis per position, plus one for the column, would
+    # pass numpy's 64-axis limit
+    for size in (2, 64):
+        for side in ("S", "S'"):
+            t = enumerate_monoid(corpus.unit_groupoid(size), side)
+            assert len(t) == 1
+            assert t.elements[0].map == tuple(range(size))
+            assert t.op.tolist() == [[0]] and t.identity == 0
 
 
 def test_cap_exceeded(c3):
@@ -287,13 +292,26 @@ def test_involution_indices_match_scalar(small_corpus):
 # bulk scans
 
 
+def star_rows(ker, A, B, side):
+    """Row-wise products of two (T, n) stacks of member maps, pair by pair;
+    UNDEFINED wherever the translation f(x) x (on S', x f(x)) is undefined.
+    An oracle independent of the certificate's factored evaluation."""
+    if side == "S":
+        la = ker.Pflat[A * ker.n + ker.xs[None, :]]
+        gl = np.take_along_axis(B, la, axis=1)
+        return np.where(la < 0, UNDEFINED, ker.Pflat[gl * ker.n + A])
+    ra = ker.Pflat[ker.xs[None, :] * ker.n + A]
+    kl = np.take_along_axis(B, ra, axis=1)
+    return np.where(ra < 0, UNDEFINED, ker.Pflat[A * ker.n + kl])
+
+
 def closure_scan_dense(g, side="S", cap=66_000):
     """Direct all-pairs closure scan (quadratic); cross-checks the factored path."""
     maps = monoid_maps_array(g, side, cap)
     ker = _Kernel(g)
     for i in range(len(maps)):
         F = np.broadcast_to(maps[i], maps.shape)
-        res = ker.star_rows(F, maps, side)
+        res = star_rows(ker, F, maps, side)
         if (res < 0).any() or not ker.member_rows(res, side).all():
             return False
     return True
@@ -380,6 +398,7 @@ def test_certificate_agrees_with_cubic_oracle(named_corpus):
             op = oracle_table(g, side)
             assert op is not None, (name, side)
             assert law_scan(g, side).assoc_ok == oracle_associative(op), (name, side)
+            assert np.array_equal(enumerate_monoid(g, side).op, op), (name, side)
             checked += 1
     assert checked == 18  # both sides of the nine corpus members other than pair(3)
 
@@ -403,17 +422,37 @@ def _mutants(g):
                 yield (a, b, w), _mutant(g, a, b, w)
 
 
+def _oracle_identity_ok(g, side):
+    """Both identity laws of one side, from the defining formula."""
+    e = tuple(g.range_map if side == "S" else g.domain_map)
+    maps = list(iter_monoid_maps(g, side))
+    return all(_oracle_product(g.product, side, e, h) == h
+               and _oracle_product(g.product, side, h, e) == h for h in maps)
+
+
 def test_certificate_sound_on_mutants(c2, c3, pair2):
-    outcomes = set()
+    outcomes, built = set(), 0
     for g in (c2, c3, pair2):
         for cell, m in _mutants(g):
             for side in ("S", "S'"):
+                case = (g.name, cell, side)
                 scan = law_scan(m, side)
                 outcomes.add(scan.assoc_ok)
+                assert scan.identity_ok == _oracle_identity_ok(m, side), case
                 if scan.assoc_ok:
                     op = oracle_table(m, side)
-                    assert op is not None and oracle_associative(op), (g.name, cell, side)
+                    assert op is not None and oracle_associative(op), case
+                try:
+                    table = enumerate_monoid(m, side)
+                except MembershipError:
+                    table = None
+                laws_ok = scan.identity_ok and scan.closure_ok and scan.assoc_ok
+                assert (table is not None) == laws_ok, case
+                if table is not None:
+                    assert np.array_equal(table.op, oracle_table(m, side)), case
+                    built += 1
     assert outcomes == {True, False}
+    assert built > 0
 
 
 def test_certificate_law_witness_replays(c3):

@@ -1,6 +1,8 @@
-"""Every module-level import under src/gpd is used by its module.
+"""Every module-level import under src/gpd is used by its module, and
+every private helper has a caller.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -37,6 +39,42 @@ def test_no_unused_module_imports():
     assert modules
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Underscore-prefixed module-level functions and ``_Kernel`` methods
+    (dunders aside) that no name or attribute in ``sources`` refers to
+    outside the helper's own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    helpers = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "_Kernel":
+                helpers += [(name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                helpers.append((name, node))
+    refs = [(name, n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+            for name, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    return sorted(
+        f"{name}:{node.name}" for name, node in helpers
+        if not node.name.startswith("__")
+        and not any(ident == node.name and not (f == name and node.lineno <= line <= node.end_lineno)
+                    for f, line, ident in refs)
+    )
+
+
+def test_dead_helper_checker_flags_uncalled_helpers():
+    src = ("def _used():\n    pass\n\n\ndef _dead():\n    return _dead()\n\n\n"
+           "class _Kernel:\n    def __init__(self):\n        self.rows()\n\n"
+           "    def rows(self):\n        pass\n\n    def star_rows(self):\n        pass\n\n\n"
+           "_used()\n")
+    assert dead_helpers({"m.py": src}) == ["m.py:_dead", "m.py:star_rows"]
+    assert dead_helpers({"a.py": "def _f():\n    pass\n", "b.py": "from a import _f\n_f()\n"}) == []
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers({p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}) == []
 
 
 def test_one_verdict_class():

@@ -218,6 +218,18 @@ def test_law_checks_fail_on_a_corrupted_cell(c3):
     assert right_translation(star_prime(hi, hj)) != right_translation(tsp.elements[w])
 
 
+def test_p41_units_come_from_the_table(c3):
+    # moving the inverse cell of unit 5 leaves 5 without a two-sided inverse
+    # in the table, while its operator still has det != 0
+    ctx = _Ctx(c3, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    assert ctx.ts.op[5, 5] == ctx.ts.identity
+    ctx.ts = _corrupt(ctx.ts, 5, 5)
+    verdict = ctx.rep_verdicts["left_units_invertible"]
+    assert verdict.passed is False
+    i, det = verdict.witness
+    assert i == 5 and det != 0
+
+
 def test_report_dict_shape(pair2):
     d = full_report(pair2).to_dict()
     assert d["groupoid"] == "pair(2)"
