@@ -15,6 +15,11 @@ each assignment forcing its three companions x^-1(xy) = y, (xy)y^-1 = x and
 (xy)^-1 = y^-1 x^-1.  Completed tables are re-validated from scratch and
 deduplicated by a canonical form, so representatives are deterministic.
 
+The canonical form is the least key, relabelled inverse array first, over
+the relabelings that keep each fingerprint class on its own block of ids.
+A class is closed under inversion, and the least inverse array puts each
+of its inverse pairs on two adjacent ids, so only those orders are tried.
+
 The probe records, for every census groupoid, whether it is principal and
 whether the two monoids meet only in j; a non-principal groupoid whose
 intersection is {j} would be a counterexample candidate to the open
@@ -72,47 +77,68 @@ def _fingerprints(g: Groupoid) -> list[tuple]:
     return out
 
 
-def _block_relabelings(g: Groupoid):
-    """All relabelings that send each fingerprint class onto a fixed block
-    of new ids (classes ordered by fingerprint); every isomorphism between
-    two groupoids respects these blocks, so minimising over them gives a
-    form that is equal exactly for isomorphic groupoids."""
-    fps = _fingerprints(g)
+def _classes(g: Groupoid) -> list[list[int]]:
+    """The fingerprint classes, ordered by fingerprint."""
     classes: dict[tuple, list[int]] = {}
-    for x, fp in enumerate(fps):
+    for x, fp in enumerate(_fingerprints(g)):
         classes.setdefault(fp, []).append(x)
-    ordered = [classes[key] for key in sorted(classes)]
-    starts = []
-    pos = 0
-    for group in ordered:
-        starts.append(pos)
-        pos += len(group)
-    for arrangement in itertools.product(*[itertools.permutations(grp) for grp in ordered]):
+    return [classes[key] for key in sorted(classes)]
+
+
+def _block_orders(g: Groupoid, grp: list[int]):
+    """The orders of one fingerprint class that can carry a least key: all
+    of them for a class of self-inverse elements, otherwise every order of
+    its inverse pairs with each pair in either orientation."""
+    inv = g.inverse
+    if inv[grp[0]] == grp[0]:
+        yield from itertools.permutations(grp)
+        return
+    pairs = [(x, inv[x]) for x in grp if x < inv[x]]
+    for order in itertools.permutations(pairs):
+        for oriented in itertools.product(*[(p, p[::-1]) for p in order]):
+            yield tuple(itertools.chain.from_iterable(oriented))
+
+
+def _block_relabelings(g: Groupoid):
+    """Relabelings that send each fingerprint class onto a fixed block of
+    new ids (classes ordered by fingerprint) in one of its ``_block_orders``.
+
+    Every isomorphism respects the blocks, so the least key over all block
+    permutations is equal exactly for isomorphic groupoids.  A key starts
+    with the relabelled inverse array, so the least key has the least
+    inverse array.  A class holds only self-inverse elements or none, and
+    with x it holds x^-1 (|r-fiber(u)| = |d-fiber(u)|).  A self-inverse
+    block always reads (s, s+1, ...).  On a block s..s+2m-1 without fixed
+    points the segment is at best (s+1, s, s+3, s+2, ...), reached exactly
+    when every inverse pair sits on adjacent ids.  So these m! 2^m orders
+    per block, instead of (2m)!, give the same least key.
+    """
+    ordered = _classes(g)
+    for arrangement in itertools.product(*[_block_orders(g, grp) for grp in ordered]):
         sigma = [0] * g.size
-        for start, perm in zip(starts, arrangement):
-            for offset, old in enumerate(perm):
-                sigma[old] = start + offset
-        yield tuple(sigma)
+        for new, old in enumerate(itertools.chain.from_iterable(arrangement)):
+            sigma[old] = new
+        yield sigma
 
 
-def _relabel_key(g: Groupoid, sigma) -> tuple:
+def _defined_cells(g: Groupoid) -> list[tuple[int, int, int]]:
+    return [(x, y, v) for x, row in enumerate(g.product)
+            for y, v in enumerate(row) if v != UNDEFINED]
+
+
+def _relabel_key(g: Groupoid, sigma, cells) -> list[int]:
     n = g.size
-    inv = [0] * n
+    key = [0] * n + [UNDEFINED] * (n * n)
     for x in range(n):
-        inv[sigma[x]] = sigma[g.inverse[x]]
-    flat = [UNDEFINED] * (n * n)
-    for x in range(n):
-        row = g.product[x]
-        sx = sigma[x]
-        for y in range(n):
-            v = row[y]
-            if v != UNDEFINED:
-                flat[sx * n + sigma[y]] = sigma[v]
-    return tuple(inv) + tuple(flat)
+        key[sigma[x]] = sigma[g.inverse[x]]
+    for x, y, v in cells:
+        key[n + sigma[x] * n + sigma[y]] = sigma[v]
+    return key
 
 
 def canonical_form(g: Groupoid) -> tuple:
-    return min(_relabel_key(g, sigma) for sigma in _block_relabelings(g))
+    cells = _defined_cells(g)
+    return tuple(min(_relabel_key(g, sigma, cells) for sigma in _block_relabelings(g)))
 
 
 def groupoid_from_canonical(key: tuple, size: int, name: str = "") -> Groupoid:
@@ -128,27 +154,27 @@ def isomorphic(g: Groupoid, h: Groupoid) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def _class_preserving_perms(g: Groupoid):
-    """Bijections sending each fingerprint class onto itself; every
-    automorphism is one of these."""
-    fps = _fingerprints(g)
-    classes: dict[tuple, list[int]] = {}
-    for x, fp in enumerate(fps):
-        classes.setdefault(fp, []).append(x)
-    groups = list(classes.values())
-    for arrangement in itertools.product(*[itertools.permutations(grp) for grp in groups]):
-        sigma = [0] * g.size
-        for grp, perm in zip(groups, arrangement):
-            for old, new in zip(grp, perm):
-                sigma[old] = new
-        yield tuple(sigma)
-
-
 def automorphisms(g: Groupoid) -> list[tuple[int, ...]]:
-    """All self-isomorphisms, in lexicographic order of their map arrays."""
-    base = _relabel_key(g, tuple(range(g.size)))
-    out = [sigma for sigma in _class_preserving_perms(g)
-           if _relabel_key(g, sigma) == base]
+    """All self-isomorphisms, in lexicographic order of their map arrays.
+
+    An automorphism keeps each fingerprint class and commutes with the
+    inverse, so it maps the first of a class's ``_block_orders`` onto one
+    of them, position by position; each such map is tried once.
+    """
+    cells = _defined_cells(g)
+    base = _relabel_key(g, range(g.size), cells)
+    per_class = []
+    for grp in _classes(g):
+        orders = list(_block_orders(g, grp))
+        per_class.append([(orders[0], order) for order in orders])
+    out = []
+    for choice in itertools.product(*per_class):
+        sigma = [0] * g.size
+        for first, order in choice:
+            for old, new in zip(first, order):
+                sigma[old] = new
+        if _relabel_key(g, sigma, cells) == base:
+            out.append(tuple(sigma))
     return sorted(out)
 
 

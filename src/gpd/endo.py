@@ -194,15 +194,19 @@ def iter_monoid_maps(g: Groupoid, side: str = "S") -> Iterator[tuple[int, ...]]:
 
 
 def monoid_maps_array(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> np.ndarray:
+    """The member maps as rows, in ``iter_monoid_maps`` order: column x
+    steps through x's fiber every stride_x rows, stride_x being the
+    product of the later fiber sizes."""
     pred = predicted_size(g, side)
     if pred > cap:
         raise CapExceeded(f"predicted monoid size {pred} exceeds cap {cap}", predicted=pred)
-    arr = np.fromiter(
-        (v for m in iter_monoid_maps(g, side) for v in m),
-        dtype=np.int32,
-        count=pred * g.size,
-    )
-    return arr.reshape(pred, g.size)
+    rank = np.arange(pred)
+    arr = np.empty((pred, g.size), dtype=np.int32)
+    stride = pred
+    for x, fib in enumerate(_position_fibers(g, side)):
+        stride //= len(fib)
+        arr[:, x] = np.asarray(fib, dtype=np.int32)[(rank // stride) % len(fib)]
+    return arr
 
 
 class _Kernel:

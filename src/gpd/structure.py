@@ -94,6 +94,7 @@ def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
 
     An ideal T is minimal exactly when the ideal S x S generated by each of
     its elements is all of T.  S is a monoid here, so S x S contains x.
+    S x S is marked from the distinct values of x S, which lie in T.
     """
     sub = [int(i) for i in subset]
     if not ideal_check(t, sub).ideal:
@@ -102,7 +103,7 @@ def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
     members[sub] = True
     for x in np.flatnonzero(members):
         generated = np.zeros_like(members)
-        generated[t.op[:, t.op[x]]] = True
+        generated[t.op[:, np.unique(t.op[x])]] = True
         if not np.array_equal(generated, members):
             return False
     return True

@@ -7,7 +7,9 @@ from gpd import corpus
 from gpd.census import (
     Census,
     _complete_products,
+    _fingerprints,
     _involutions,
+    _skeletons,
     as_isomorphism,
     automorphisms,
     canonical_form,
@@ -184,6 +186,71 @@ def oracle_constructive_census(n: int) -> list[Groupoid]:
 
 
 # ---------------------------------------------------------------------------
+# oracle 4: the least key over every permutation inside every fingerprint
+# block, and automorphisms among every class-preserving bijection.  The
+# census narrows both searches to relabelings that commute with the inverse.
+
+
+def _oracle_classes(g):
+    classes = {}
+    for x, fp in enumerate(_fingerprints(g)):
+        classes.setdefault(fp, []).append(x)
+    return classes
+
+
+def _oracle_key(g, sigma):
+    n = g.size
+    inv = [0] * n
+    for x in range(n):
+        inv[sigma[x]] = sigma[g.inverse[x]]
+    flat = [-1] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            v = g.product[x][y]
+            if v >= 0:
+                flat[sigma[x] * n + sigma[y]] = sigma[v]
+    return tuple(inv) + tuple(flat)
+
+
+def oracle_canonical_form(g):
+    classes = _oracle_classes(g)
+    ordered = [classes[key] for key in sorted(classes)]
+    starts = list(itertools.accumulate([0] + [len(grp) for grp in ordered]))
+    best = None
+    for arrangement in itertools.product(*[itertools.permutations(grp) for grp in ordered]):
+        sigma = [0] * g.size
+        for start, perm in zip(starts, arrangement):
+            for offset, old in enumerate(perm):
+                sigma[old] = start + offset
+        key = _oracle_key(g, sigma)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _class_preserving_perms(g):
+    """Bijections sending each fingerprint class onto itself; every
+    automorphism is one of these."""
+    groups = list(_oracle_classes(g).values())
+    for arrangement in itertools.product(*[itertools.permutations(grp) for grp in groups]):
+        sigma = [0] * g.size
+        for grp, perm in zip(groups, arrangement):
+            for old, new in zip(grp, perm):
+                sigma[old] = new
+        yield tuple(sigma)
+
+
+def oracle_automorphisms(g):
+    base = _oracle_key(g, range(g.size))
+    return sorted(s for s in _class_preserving_perms(g) if _oracle_key(g, s) == base)
+
+
+@pytest.fixture(scope="module")
+def census7():
+    return enumerate_groupoids(7, max_order=7)
+
+
+# ---------------------------------------------------------------------------
 # the tests
 
 
@@ -270,11 +337,36 @@ def test_census_matches_unrestricted_search(order):
     assert census.total_found == total
 
 
-def test_census_orbit_stabilizer():
+def test_canonical_form_matches_full_block_search(census7):
+    tables = 0
+    for order in range(1, 7):
+        for _, iota, rng in _skeletons(order):
+            for table in _complete_products(order, iota, rng):
+                g = make_groupoid(order, table, iota)
+                assert canonical_form(g) == oracle_canonical_form(g), (order, table)
+                tables += 1
+    assert tables == 279
+    assert len(census7.representatives) == 22
+    for rep in census7.representatives:
+        g = _shift_relabel(rep)
+        assert canonical_form(g) == oracle_canonical_form(g) == canonical_form(rep), rep.name
+
+
+def test_automorphisms_match_class_preserving_search(census7):
+    pool = [g for _, g in corpus.standard_corpus() if g.size <= 9]
+    for order in range(1, 7):
+        pool += list(enumerate_groupoids(order).representatives)
+    pool += list(census7.representatives)
+    assert len(pool) == 70
+    for g in pool:
+        assert automorphisms(g) == oracle_automorphisms(g), g.name
+
+
+def test_census_orbit_stabilizer(census7):
     # A class with automorphism group A has n!/|A| labelled members.
-    expected = {1: 1, 2: 3, 3: 10, 4: 65, 5: 341, 6: 2761}
+    expected = {1: 1, 2: 3, 3: 10, 4: 65, 5: 341, 6: 2761, 7: 20448}
     for order, total in expected.items():
-        census = enumerate_groupoids(order)
+        census = census7 if order == 7 else enumerate_groupoids(order)
         orbits = sum(math.factorial(order) // len(automorphisms(rep))
                      for rep in census.representatives)
         assert orbits == census.total_found == total, order

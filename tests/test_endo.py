@@ -216,6 +216,15 @@ def test_enumeration_matches_prediction(small_corpus):
             assert membership(g, m).in_sg
 
 
+def test_maps_array_matches_iterator(named_corpus):
+    # pair(3) included: 19683 rows per side
+    for _, g in named_corpus:
+        for side in ("S", "S'"):
+            arr = monoid_maps_array(g, side)
+            assert arr.dtype == np.int32
+            assert np.array_equal(arr, np.array(list(iter_monoid_maps(g, side)), dtype=np.int32))
+
+
 def test_unit_groupoid_monoid_is_trivial():
     # 64 positions: one array axis per position, plus one for the column, would
     # pass numpy's 64-axis limit
