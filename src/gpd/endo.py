@@ -265,7 +265,8 @@ class MonoidTable:
     right on S').
 
     Construction verifies totality, both identity laws, and associativity
-    (by the translation certificate) before the table is handed out.
+    (by the translation certificate) before the table is handed out.  Facts
+    cached on the instance are recomputed for a ``dataclasses.replace`` copy.
     """
 
     groupoid: Groupoid
@@ -278,6 +279,14 @@ class MonoidTable:
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {f.map: i for i, f in enumerate(self.elements)}
+
+    @cached_property
+    def law_witness(self) -> tuple[int, int] | None:
+        return translation_law_witness(self.trans, self.op)
+
+    @cached_property
+    def distinct_translations(self) -> int:
+        return len(np.unique(self.trans, axis=0))
 
     def __len__(self):
         return len(self.elements)

@@ -11,14 +11,15 @@ evaluates that law on translation index arrays and forms no matrix
 product.  The assignment is injective because f is recoverable from its
 translation (f(x) = tau(x) x^-1).
 
-All arithmetic is exact: determinants come from the permutation structure,
-ranks from fraction-free Gaussian elimination over the rationals.
+All arithmetic is exact and read off the translation array: M(tau) has
+one 1 per row, so its rank is the number of distinct values of tau, it is
+invertible exactly when tau is a permutation, and then its determinant is
+the sign of that permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -68,32 +69,6 @@ class LinOp:
                 sign = -sign
         return sign
 
-    def rank(self) -> int:
-        return exact_rank(self.matrix)
-
-
-def exact_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination with Fractions."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
 
 def left_operator(f: GFun) -> LinOp:
     """Operator of g -> g composed with the left translation of f (side S)."""
@@ -119,37 +94,41 @@ class Verdict:
         return out
 
 
-def _audit_one_side(t: MonoidTable, unit_indices, dense_indices) -> dict[str, Verdict]:
+def translation_ranks(trans: np.ndarray) -> np.ndarray:
+    """rank M(tau) for each row tau of ``trans``: its number of distinct values."""
+    s = np.sort(trans, axis=1)
+    return 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
+
+
+def _first_mismatch(full: np.ndarray, indices) -> int | None:
+    """The first member where ``full`` disagrees with membership in ``indices``."""
+    stray = np.flatnonzero(full != np.isin(np.arange(len(full)), indices))
+    return int(stray[0]) if len(stray) else None
+
+
+def _audit_one_side(t: MonoidTable, unit_indices, cancellative_indices) -> dict[str, Verdict]:
     """Matrix-level checks for one monoid table.
 
     (hom)   matrix(f1 f2) = matrix(f1) . matrix(f2) for every pair, i.e.
             tau_{f1 f2} = tau_{f2} o tau_{f1} against the table;
     (inj)   distinct members give distinct matrices;
-    (units) determinant is nonzero exactly on the group of units;
-    (dense) exact rank is full exactly on the dense-translation submonoid.
+    (units) determinant is nonzero exactly on the two-sided-invertible members;
+    (dense) rank is full exactly on the left-cancellative members.
+    Both reference sets are read from the Cayley table, never from ``trans``.
     """
     g, total = t.groupoid, len(t)
-    bad = translation_law_witness(t.trans, t.op)
-    hom = Verdict(bad is None, bad)
-
-    distinct = len({tuple(map(int, row)) for row in t.trans})
-    inj = Verdict(distinct == total, None if distinct == total else (distinct, total))
-
-    unit_set = set(unit_indices)
-    dense_set = set(dense_indices)
-    units_v = Verdict(True)
-    dense_v = Verdict(True)
-    for i, f in enumerate(t.elements):
-        op_ = LinOp(g, tuple(int(v) for v in t.trans[i]))
-        det = op_.determinant()
-        if (det != 0) != (i in unit_set):
-            units_v = Verdict(False, (i, det))
-            break
-        if (op_.rank() == g.size) != (i in dense_set):
-            dense_v = Verdict(False, (i,))
-            break
-    return {"hom": hom, "injective": inj, "units_invertible": units_v,
-            "dense_full_rank": dense_v}
+    full = translation_ranks(t.trans) == g.size  # det != 0 exactly at full rank
+    units_v = dense_v = Verdict(True)
+    i = _first_mismatch(full, unit_indices)
+    if i is not None:
+        units_v = Verdict(False, (i, LinOp(g, tuple(map(int, t.trans[i]))).determinant()))
+    i = _first_mismatch(full, cancellative_indices)
+    if i is not None:
+        dense_v = Verdict(False, (i,))
+    distinct = t.distinct_translations
+    return {"hom": Verdict(t.law_witness is None, t.law_witness),
+            "injective": Verdict(distinct == total, None if distinct == total else (distinct, total)),
+            "units_invertible": units_v, "dense_full_rank": dense_v}
 
 
 def _audit_mixed_action(ts: MonoidTable, tsp: MonoidTable, sigma: np.ndarray) -> Verdict:
@@ -170,12 +149,12 @@ def representation_audit(
     ts: MonoidTable,
     tsp: MonoidTable,
     sigma: np.ndarray,
-    unit_indices_s, dense_indices_s,
-    unit_indices_sp, dense_indices_sp,
+    unit_indices_s, cancellative_indices_s,
+    unit_indices_sp, cancellative_indices_sp,
 ) -> dict[str, Verdict]:
     """Full operator audit over both sides plus the mixed right action."""
-    left = _audit_one_side(ts, unit_indices_s, dense_indices_s)
-    right = _audit_one_side(tsp, unit_indices_sp, dense_indices_sp)
+    left = _audit_one_side(ts, unit_indices_s, cancellative_indices_s)
+    right = _audit_one_side(tsp, unit_indices_sp, cancellative_indices_sp)
     out = {f"left_{k}": v for k, v in left.items()}
     out.update((f"right_{k}", v) for k, v in right.items())
     out["mixed_right_action"] = _audit_mixed_action(ts, tsp, sigma)

@@ -43,7 +43,6 @@ from .endo import (
     involution_indices,
     star,
     star_prime,
-    translation_law_witness,
 )
 from .errors import NotASubgroupoid, ShapeError
 from .groupoid import Groupoid, morphism_classify
@@ -59,6 +58,7 @@ from .structure import (
     iter_intertwining_maps,
     j_ideal,
     j_index,
+    left_cancellative,
     left_zero_criterion,
     minimal_ideal,
     range_domain_criterion,
@@ -128,7 +128,9 @@ class _Ctx:
     """Intermediates shared between checks, each built on first use.
 
     A check pulls only what it reads, so ``--props CLOSING`` enumerates side
-    S alone; the report's structure fields read side S only.
+    S alone; the report's structure fields read side S only.  The translation
+    law witness and injectivity are cached on each ``MonoidTable`` instead,
+    since the operator audit reads them from the tables it is given.
     """
 
     def __init__(self, g: Groupoid, cap, product_cap):
@@ -147,6 +149,14 @@ class _Ctx:
     @cached_property
     def sigma(self):
         return involution_indices(self.ts, self.tsp)
+
+    @cached_property
+    def units(self):
+        return cayley_units(self.ts)
+
+    @cached_property
+    def unitsp(self):
+        return cayley_units(self.tsp)
 
     @cached_property
     def h1(self):
@@ -174,11 +184,12 @@ class _Ctx:
 
     @cached_property
     def rep_verdicts(self):
-        # units read from the tables, so "det != 0 exactly on units" is independent of h1
+        # both reference sets come from the Cayley tables, not from the
+        # translations whose ranks the audit reads
         return representation_audit(
             self.ts, self.tsp, self.sigma,
-            cayley_units(self.ts), self.tg.indices,
-            cayley_units(self.tsp), self.tgp.indices,
+            self.units, np.flatnonzero(left_cancellative(self.ts)),
+            self.unitsp, np.flatnonzero(left_cancellative(self.tsp)),
         )
 
 
@@ -264,18 +275,16 @@ def _check_p338(ctx: _Ctx) -> Verdict:
 def _check_l37(ctx: _Ctx) -> Verdict:
     # the certificate proved the law from the product formula; this checks
     # it against the stored table
-    lm = ctx.ts.trans
-    if len({tuple(map(int, row)) for row in lm}) != len(ctx.ts):
+    if ctx.ts.distinct_translations != len(ctx.ts):
         return Verdict(False, ("not injective",))
-    bad = translation_law_witness(lm, ctx.ts.op)
-    return Verdict(bad is None, bad)
+    return Verdict(ctx.ts.law_witness is None, ctx.ts.law_witness)
 
 
 def _check_p38(ctx: _Ctx) -> Verdict:
-    for t, h1 in ((ctx.ts, ctx.h1), (ctx.tsp, ctx.h1p)):
+    for t, h1, units in ((ctx.ts, ctx.h1, ctx.units), (ctx.tsp, ctx.h1p, ctx.unitsp)):
         if not h1.verified:
             return Verdict(False, (t.side, h1.witness))
-        cross = units_crosscheck(t, h1)
+        cross = units_crosscheck(h1, units)
         if not cross.agrees:
             return Verdict(False, (t.side, cross.witness))
     return Verdict(True)
@@ -319,11 +328,11 @@ def _check_p310(ctx: _Ctx) -> Verdict:
 
 
 def _check_p311(ctx: _Ctx) -> Verdict:
-    for t, tg in ((ctx.ts, ctx.tg), (ctx.tsp, ctx.tgp)):
+    for t, tg, units in ((ctx.ts, ctx.tg, ctx.units), (ctx.tsp, ctx.tgp, ctx.unitsp)):
         if not (tg.closed and tg.contains_identity and tg.left_cancellative):
             return Verdict(False, (t.side, tg.witness))
         # at finite scale T_G is the unit group, read here from the table alone
-        stray = set(tg.indices) ^ set(cayley_units(t))
+        stray = set(tg.indices) ^ set(units)
         if stray:
             return Verdict(False, (t.side, "units", min(stray)))
     # the involution carries T_G onto T_G', which was computed from the S' table
@@ -337,19 +346,11 @@ def _check_p311(ctx: _Ctx) -> Verdict:
     return Verdict(True)
 
 
-def _check_p41(ctx: _Ctx) -> Verdict:
-    verdicts = ctx.rep_verdicts
-    for key in ("left_hom", "left_injective", "left_units_invertible", "left_dense_full_rank"):
-        if not verdicts[key].passed:
-            return Verdict(False, (key, verdicts[key].witness))
-    return Verdict(True)
-
-
-def _check_p42(ctx: _Ctx) -> Verdict:
-    verdicts = ctx.rep_verdicts
-    for key in ("right_hom", "right_injective", "right_units_invertible", "right_dense_full_rank"):
-        if not verdicts[key].passed:
-            return Verdict(False, (key, verdicts[key].witness))
+def _check_operators(ctx: _Ctx, side: str) -> Verdict:
+    """P4.1 on side "left", P4.2 on side "right": the first failing audit verdict."""
+    for key in (f"{side}_{k}" for k in ("hom", "injective", "units_invertible", "dense_full_rank")):
+        if not ctx.rep_verdicts[key].passed:
+            return Verdict(False, (key, ctx.rep_verdicts[key].witness))
     return Verdict(True)
 
 
@@ -378,8 +379,8 @@ _CHECKS = {
     "P3.9": _check_p39,
     "P3.10": _check_p310,
     "P3.11": _check_p311,
-    "P4.1": _check_p41,
-    "P4.2": _check_p42,
+    "P4.1": lambda ctx: _check_operators(ctx, "left"),
+    "P4.2": lambda ctx: _check_operators(ctx, "right"),
     "C4.3": _check_c43,
     "CLOSING": _check_closing,
 }

@@ -167,7 +167,6 @@ def group_of_units(g: Groupoid, t: MonoidTable) -> UnitGroup:
 @dataclass(frozen=True)
 class CrossCheck:
     agrees: bool
-    cayley_invertible: tuple[int, ...]
     witness: tuple | None
 
 
@@ -177,12 +176,20 @@ def cayley_units(t: MonoidTable) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero((m & m.T).any(axis=1)))
 
 
-def units_crosscheck(t: MonoidTable, h1: UnitGroup) -> CrossCheck:
-    """Independently compute the two-sided-invertible set from the table and
-    compare it with H(1); this is the maximality claim at testable level."""
-    inv_set = cayley_units(t)
-    stray = tuple(sorted(set(inv_set) ^ set(h1.indices)))
-    return CrossCheck(not stray, inv_set, stray or None)
+def units_crosscheck(h1: UnitGroup, invertible: Sequence[int]) -> CrossCheck:
+    """Compare H(1) with the table's two-sided-invertible set (``cayley_units``);
+    this is the maximality claim at testable level."""
+    stray = tuple(sorted(set(invertible) ^ set(h1.indices)))
+    return CrossCheck(not stray, stray or None)
+
+
+def left_cancellative(t: MonoidTable, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Whether each of ``rows`` (default: every member) is left-cancellative,
+    i.e. its row of the Cayley table repeats no value."""
+    op = t.op if rows is None else t.op[list(rows)]
+    hit = np.zeros(op.shape, dtype=bool)
+    hit[np.arange(len(op))[:, None], op] = True
+    return hit.all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -200,13 +207,15 @@ def dense_submonoid(g: Groupoid, t: MonoidTable) -> DenseSubmonoid:
     cancellativity; the report matches the set with its mirror through the
     involution."""
     indices = _bijective_translations(t)
+    cancellative = left_cancellative(t, indices)
     witness = None
-    for i in indices:  # find the first column whose product repeats an earlier one
-        row, first = t.op[i].tolist(), {}
-        k = next((k for k, v in enumerate(row) if first.setdefault(v, k) != k), None)
-        if k is not None:
-            witness = (i, first[row[k]], k)
-            break
+    if not cancellative.all():  # the first column whose product repeats an earlier one
+        i = indices[int(np.argmin(cancellative))]
+        row = t.op[i]
+        repeat = np.ones(len(row), dtype=bool)
+        repeat[np.unique(row, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        witness = (i, int(np.argmax(row == row[k])), k)
     return DenseSubmonoid(indices, _closed(t, indices), t.identity in indices,
                           witness is None, witness)
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import gpd.structure
 from gpd import census, corpus, io
 from gpd.cli import main
 
@@ -117,6 +118,18 @@ def test_verify_text_format(tmp_path, capsys):
     assert run(["verify", path, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "P3.2: PASS" in out and "CLOSING: PASS" in out
+
+
+def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
+    # a wrong bijective-translation predicate shrinks T_G to the identity;
+    # P3.11 compares it with the table's units and fails
+    path = write_c2(tmp_path)
+    monkeypatch.setattr(gpd.structure, "_bijective_translations", lambda t: (t.identity,))
+    assert run(["verify", path, "--props", "P3.11"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["checks"]["P3.11"] == {"pass": False, "witness": ["S", "units", 3]}
+    assert run(["verify", path, "--props", "P3.11", "--format", "text"]) == 1
+    assert "  P3.11: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_rep_export(tmp_path):

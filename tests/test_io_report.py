@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from gpd.endo import (
 )
 from gpd.errors import ShapeError
 from gpd.operators import left_operator
+import gpd.endo
 import gpd.report
 import gpd.structure
 from gpd.report import CHECK_IDS, _Ctx, full_report
@@ -228,6 +230,55 @@ def test_p41_units_come_from_the_table(c3):
     assert verdict.passed is False
     i, det = verdict.witness
     assert i == 5 and det != 0
+
+
+def test_p41_dense_rank_compares_with_the_table(c3):
+    # the same moved cell makes row 5 of the table repeat a value, so 5 is
+    # not left-cancellative while its operator still has full rank
+    ctx = _Ctx(c3, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    ctx.ts = _corrupt(ctx.ts, 5, 5)
+    verdict = ctx.rep_verdicts["left_dense_full_rank"]
+    assert verdict.passed is False
+    assert verdict.witness == (5,)
+
+
+def test_rebuilt_table_recomputes_cached_facts(c3):
+    t = enumerate_monoid(c3, "S")
+    assert t.law_witness is None and t.distinct_translations == len(t)
+    assert _corrupt(t, 5, 11).law_witness == (5, 11)
+    trans = t.trans.copy()
+    trans[1] = trans[0]
+    assert dataclasses.replace(t, trans=trans).distinct_translations == len(t) - 1
+
+
+def _count_calls(monkeypatch, fn):
+    """Record the arguments of every call to ``fn`` made through any gpd module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gpd" or name.startswith("gpd."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_shared_table_facts_are_computed_once(c3, monkeypatch):
+    laws = _count_calls(monkeypatch, gpd.endo.translation_law_witness)
+    units = _count_calls(monkeypatch, gpd.structure.cayley_units)
+    tables = _count_calls(monkeypatch, gpd.endo.enumerate_monoid)
+    assert full_report(c3).all_passed
+    assert len(laws) == 3  # side S, side S', the mixed action
+    assert sorted(args[0].side for args in units) == ["S", "S'"]
+    laws.clear()
+    tables.clear()
+    assert full_report(c3, ("L3.7",)).all_passed
+    assert len(laws) == 1
+    assert [args[1] for args in tables] == ["S"]
 
 
 def test_report_dict_shape(pair2):

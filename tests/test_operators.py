@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,30 @@ from gpd.endo import (
 from gpd.errors import MembershipError, ShapeError
 from gpd.operators import (
     LinOp,
-    exact_rank,
     left_operator,
     representation_audit,
     right_operator,
+    translation_ranks,
 )
-from gpd.structure import dense_submonoid, group_of_units
+from gpd.structure import cayley_units, left_cancellative
+
+
+def exact_rank(matrix):
+    """Rank over the rationals by Gaussian elimination with Fractions: the
+    oracle for the ranks the audit reads off translation arrays."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                factor = rows[r][c] / rows[rank][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_left_operator_identity(c2, pair2):
@@ -45,7 +64,7 @@ def test_left_operator_j_rank(pair2):
     op = left_operator(gfun(pair2, pair2.inverse))
     # row x has its 1 in column d(x); the rank is the number of units
     assert op.tau == tuple(pair2.domain_map)
-    assert op.rank() == len(pair2.units)
+    assert exact_rank(op.matrix) == len(pair2.units)
     assert op.determinant() == 0
 
 
@@ -101,14 +120,27 @@ def test_matrix_homomorphism_c2(sg_c2):
 
 
 def _audit(g):
+    # the reference sets the report passes: both read from the Cayley tables
     ts = enumerate_monoid(g, "S")
     tsp = enumerate_monoid(g, "S'")
-    h1 = group_of_units(g, ts)
-    tg = dense_submonoid(g, ts)
-    h1p = group_of_units(g, tsp)
-    tgp = dense_submonoid(g, tsp)
     return representation_audit(ts, tsp, involution_indices(ts, tsp),
-                                h1.indices, tg.indices, h1p.indices, tgp.indices)
+                                cayley_units(ts), np.flatnonzero(left_cancellative(ts)),
+                                cayley_units(tsp), np.flatnonzero(left_cancellative(tsp)))
+
+
+def test_audit_ranks_match_exact_rank(small_corpus):
+    # every member of both sides: the rank read off the translation equals
+    # the eliminated rank of its matrix, and det != 0 exactly at full rank
+    c3c3 = corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3))
+    for name, g in small_corpus + [("C3+C3", c3c3)]:
+        for side in ("S", "S'"):
+            t = enumerate_monoid(g, side)
+            ranks = translation_ranks(t.trans)
+            for i, tau in enumerate(t.trans):
+                op = LinOp(g, tuple(int(v) for v in tau))
+                assert ranks[i] == exact_rank(op.matrix), (name, side, i)
+                assert (op.determinant() != 0) == (ranks[i] == g.size), (name, side, i)
+                assert op.determinant() == round(np.linalg.det(op.matrix)), (name, side, i)
 
 
 def test_representation_audit_c2(c2):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from gpd.endo import enumerate_monoid, gfun, involution_star, iter_monoid_maps, 
 from gpd.errors import EmptySubset, NotASubgroupoid, PreconditionFailed
 from gpd.structure import (
     antihom_classification,
+    cayley_units,
     count_intertwining_maps,
     dense_submonoid,
     group_of_units,
@@ -148,7 +150,7 @@ def test_group_of_units_c2(sg_c2):
     assert h1.indices == (0, 3)
     assert h1.verified
     assert h1.inverse == {0: 0, 3: 3}
-    cross = units_crosscheck(sg_c2, h1)
+    cross = units_crosscheck(h1, cayley_units(sg_c2))
     assert cross.agrees
 
 
@@ -157,7 +159,7 @@ def test_group_of_units_trivial_cases():
     t = enumerate_monoid(u2, "S")
     h1 = group_of_units(u2, t)
     assert h1.indices == (t.identity,)
-    assert units_crosscheck(t, h1).agrees
+    assert units_crosscheck(h1, cayley_units(t)).agrees
 
 
 def test_r_always_in_h1_and_crosscheck(small_corpus):
@@ -166,7 +168,7 @@ def test_r_always_in_h1_and_crosscheck(small_corpus):
         h1 = group_of_units(g, t)
         assert t.identity in h1.indices, name
         assert h1.verified, name
-        assert units_crosscheck(t, h1).agrees, name
+        assert units_crosscheck(h1, cayley_units(t)).agrees, name
         # j is invertible exactly on unit groupoids
         assert (j_index(t) in h1.indices) == (len(g.units) == g.size), name
 
@@ -185,6 +187,19 @@ def test_dense_submonoid(sg_c2, small_corpus):
         tsp = enumerate_monoid(g, "S'")
         mirror = {tsp.elements[k].map for k in dense_submonoid(g, tsp).indices}
         assert {involution_star(t.elements[i]).map for i in tg.indices} == mirror, name
+
+
+def test_dense_submonoid_cancellation_witness(c3):
+    # a moved cell in unit 5's row repeats a product; the witness names the
+    # first column k whose product equals the one at an earlier column j
+    t = enumerate_monoid(c3, "S")
+    op = t.op.copy()
+    op[5, 11] = (op[5, 11] + 1) % len(t)
+    tg = dense_submonoid(c3, dataclasses.replace(t, op=op))
+    assert not tg.left_cancellative
+    i, j, k = tg.witness
+    assert i == 5 and j < k and op[5, j] == op[5, k]
+    assert len(set(op[5, :k].tolist())) == k
 
 
 def test_subgroupoid_validation():
