@@ -134,6 +134,8 @@ def cmd_verify(args) -> int:
     checks = None
     if args.props and args.props != "all":
         checks = tuple(p.strip() for p in args.props.split(",") if p.strip())
+        if not checks:
+            raise OperationalError(f"--props {args.props!r} names no check id")
     report = full_report(g, checks, cfg.cap_monoid, DEFAULT_PRODUCT_CAP)
     payload = report.to_dict()
     lines = [f"{g.name or 'groupoid'}: |S| = {report.monoid_size}"]

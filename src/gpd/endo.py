@@ -260,9 +260,9 @@ def _rank(pos: np.ndarray, strides: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MonoidTable:
-    """A fully enumerated monoid: elements, index Cayley table, identity, and
+    """A fully enumerated monoid: elements, index Cayley table, identity,
     ``trans``, the (|S|, n) array of each member's translation (left on S,
-    right on S').
+    right on S'), and ``maps``, the (|S|, n) array of the member maps.
 
     Construction verifies totality, both identity laws, and associativity
     (by the translation certificate) before the table is handed out.  Facts
@@ -275,6 +275,7 @@ class MonoidTable:
     op: np.ndarray
     identity: int
     trans: np.ndarray
+    maps: np.ndarray
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -357,15 +358,14 @@ def enumerate_monoid(
     if not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
         raise MembershipError("identity law fails in the Cayley table")
     return MonoidTable(groupoid=g, side=side, elements=elements, op=op, identity=identity,
-                       trans=ker.translation_rows(maps, side))
+                       trans=ker.translation_rows(maps, side), maps=maps)
 
 
 def involution_indices(ts: MonoidTable, tsp: MonoidTable) -> np.ndarray:
     """sigma[i] = index in ``tsp`` of the involution image of member i of ``ts``."""
     g = ts.groupoid
     inv = np.asarray(g.inverse, dtype=np.int32)
-    maps = np.array([f.map for f in ts.elements], dtype=np.int32)
-    return _rank(*_radix(g, tsp.side), inv[maps[:, inv]])
+    return _rank(*_radix(g, tsp.side), inv[ts.maps[:, inv]])
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def groupoid_to_dict(g: Groupoid) -> dict:
     }
 
 
-def groupoid_from_dict(obj: Any, *, max_size=None) -> Groupoid:
+def groupoid_from_dict(obj: Any) -> Groupoid:
     if not isinstance(obj, dict):
         raise ShapeError("groupoid object must be a JSON object")
     try:
@@ -70,12 +70,11 @@ def groupoid_from_dict(obj: Any, *, max_size=None) -> Groupoid:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed groupoid object: {exc!r}") from None
-    kwargs = {} if max_size is None else {"max_size": max_size}
-    return build_groupoid(spec, **kwargs)
+    return build_groupoid(spec)
 
 
-def load_groupoid(path, **kw) -> Groupoid:
-    return groupoid_from_dict(_load(path), **kw)
+def load_groupoid(path) -> Groupoid:
+    return groupoid_from_dict(_load(path))
 
 
 def save_groupoid(path, g: Groupoid):

@@ -1,9 +1,10 @@
 """The combined verification suite over one groupoid.
 
-``full_report`` runs the selected checks over a lazily filled context, so a
-monoid is enumerated only when a check reads it, producing a
-``StructureReport``: the structural index sets (side S) plus one verdict
-per check id.  The ids below are the stable names used in report files and
+``full_report`` runs the selected checks over a lazily filled context: one
+object per side holds its table and each fact read off it, so a monoid is
+enumerated only when a check reads it and each fact is computed once.  It
+produces a ``StructureReport``: the structural index sets (side S) plus
+one verdict per check id.  The ids below are the stable names used in report files and
 on the command line (see the README table for what each one verifies):
 
     P3.2     monoid laws on both sides; the involution is an isomorphism
@@ -39,26 +40,28 @@ import numpy as np
 from .endo import (
     DEFAULT_MONOID_CAP,
     DEFAULT_PRODUCT_CAP,
+    SIDES,
     enumerate_monoid,
     involution_indices,
     star,
     star_prime,
 )
 from .errors import NotASubgroupoid, ShapeError
-from .groupoid import Groupoid, morphism_classify
+from .groupoid import Groupoid
 from .operators import Verdict, representation_audit
 from .structure import (
     antihom_classification,
+    bijective_translations,
     cayley_units,
     count_intertwining_maps,
     dense_submonoid,
     group_of_units,
-    ideal_check,
     intersection_analysis,
     iter_intertwining_maps,
     j_ideal,
     j_index,
     left_cancellative,
+    left_ideal,
     left_zero_criterion,
     minimal_ideal,
     range_domain_criterion,
@@ -66,16 +69,6 @@ from .structure import (
     subgroupoid_semigroup,
     units_crosscheck,
     validate_subgroupoid,
-)
-
-CHECK_IDS = (
-    "P3.2",
-    "P3.3.1", "P3.3.2", "P3.3.3", "P3.3.4",
-    "P3.3.5", "P3.3.6", "P3.3.7", "P3.3.8",
-    "L3.7",
-    "P3.8", "P3.9", "P3.10", "P3.11",
-    "P4.1", "P4.2", "C4.3",
-    "CLOSING",
 )
 
 SUBGROUPOID_SWEEP_LIMIT = 12   # enumerate all subsets up to this groupoid size
@@ -124,8 +117,49 @@ class StructureReport:
         }
 
 
+class _Side:
+    """One side's table and the facts read off it, each built on first read.
+
+    A table assigned to ``table`` before any fact is read drives every fact.
+    """
+
+    def __init__(self, g: Groupoid, name: str, cap, product_cap):
+        self.g = g
+        self.name = name
+        self.caps = (cap, product_cap)
+
+    @cached_property
+    def table(self):
+        return enumerate_monoid(self.g, self.name, *self.caps)
+
+    @cached_property
+    def special(self):
+        return special_elements(self.table)
+
+    @cached_property
+    def units(self):
+        return cayley_units(self.table)
+
+    @cached_property
+    def cancellative(self):
+        return left_cancellative(self.table)
+
+    @cached_property
+    def bijective(self):
+        return bijective_translations(self.table)
+
+    @cached_property
+    def h1(self):
+        return group_of_units(self.g, self.table, self.bijective)
+
+    @cached_property
+    def tg(self):
+        return dense_submonoid(self.table, self.bijective, self.cancellative)
+
+
 class _Ctx:
-    """Intermediates shared between checks, each built on first use.
+    """``sides`` (S, then S') and the facts read off side S alone or both
+    sides, each built on first use.
 
     A check pulls only what it reads, so ``--props CLOSING`` enumerates side
     S alone; the report's structure fields read side S only.  The translation
@@ -135,61 +169,31 @@ class _Ctx:
 
     def __init__(self, g: Groupoid, cap, product_cap):
         self.g = g
-        self.cap = cap
-        self.product_cap = product_cap
-
-    @cached_property
-    def ts(self):
-        return enumerate_monoid(self.g, "S", self.cap, self.product_cap)
-
-    @cached_property
-    def tsp(self):
-        return enumerate_monoid(self.g, "S'", self.cap, self.product_cap)
+        self.sides = tuple(_Side(g, name, cap, product_cap) for name in SIDES)
 
     @cached_property
     def sigma(self):
-        return involution_indices(self.ts, self.tsp)
-
-    @cached_property
-    def units(self):
-        return cayley_units(self.ts)
-
-    @cached_property
-    def unitsp(self):
-        return cayley_units(self.tsp)
-
-    @cached_property
-    def h1(self):
-        return group_of_units(self.g, self.ts)
-
-    @cached_property
-    def h1p(self):
-        return group_of_units(self.g, self.tsp)
-
-    @cached_property
-    def tg(self):
-        return dense_submonoid(self.g, self.ts)
-
-    @cached_property
-    def tgp(self):
-        return dense_submonoid(self.g, self.tsp)
+        s, sp = self.sides
+        return involution_indices(s.table, sp.table)
 
     @cached_property
     def inter(self):
-        return intersection_analysis(self.g, self.ts)
+        return intersection_analysis(self.g, self.sides[0].table)
 
     @cached_property
     def antihoms(self):
-        return antihom_classification(self.g, self.ts)
+        s = self.sides[0]
+        return antihom_classification(self.g, s.table, s.special)
 
     @cached_property
     def rep_verdicts(self):
         # both reference sets come from the Cayley tables, not from the
         # translations whose ranks the audit reads
+        s, sp = self.sides
         return representation_audit(
-            self.ts, self.tsp, self.sigma,
-            self.units, np.flatnonzero(left_cancellative(self.ts)),
-            self.unitsp, np.flatnonzero(left_cancellative(self.tsp)),
+            s.table, sp.table, self.sigma,
+            s.units, np.flatnonzero(s.cancellative),
+            sp.units, np.flatnonzero(sp.cancellative),
         )
 
 
@@ -197,53 +201,51 @@ def _check_p32(ctx: _Ctx) -> Verdict:
     # the monoid laws of both sides were certified when _Ctx enumerated them
     # (enumerate_monoid raises MembershipError otherwise).
     # involution: bijective and converts * into the mirror product
-    if len(set(ctx.sigma.tolist())) != len(ctx.ts):
+    ts, tsp = (side.table for side in ctx.sides)
+    if len(set(ctx.sigma.tolist())) != len(ts):
         return Verdict(False, ("involution not bijective",))
-    lhs = ctx.sigma[ctx.ts.op]
-    rhs = ctx.tsp.op[ctx.sigma[:, None], ctx.sigma[None, :]]
+    lhs = ctx.sigma[ts.op]
+    rhs = tsp.op[ctx.sigma[:, None], ctx.sigma[None, :]]
     if not np.array_equal(lhs, rhs):
         i, j = (int(v) for v in np.argwhere(lhs != rhs)[0])
         return Verdict(False, (i, j))
-    back = involution_indices(ctx.tsp, ctx.ts)[ctx.sigma]
-    stray = np.flatnonzero(back != np.arange(len(ctx.ts)))
+    back = involution_indices(tsp, ts)[ctx.sigma]
+    stray = np.flatnonzero(back != np.arange(len(ts)))
     if len(stray):
         return Verdict(False, (int(stray[0]), "involution not involutive"))
-    if int(ctx.sigma[ctx.ts.identity]) != ctx.tsp.identity:
+    if int(ctx.sigma[ts.identity]) != tsp.identity:
         return Verdict(False, ("identity not preserved",))
     return Verdict(True)
 
 
 def _check_p331(ctx: _Ctx) -> Verdict:
-    for t in (ctx.ts, ctx.tsp):
-        j = j_index(t)
-        spec = special_elements(t)
-        if j not in spec.idempotents or j not in spec.right_zeros:
-            return Verdict(False, (t.side, j))
+    for side in ctx.sides:
+        j = j_index(side.table)
+        if j not in side.special.idempotents or j not in side.special.right_zeros:
+            return Verdict(False, (side.name, j))
     return Verdict(True)
 
 
 def _check_p332(ctx: _Ctx) -> Verdict:
-    for t in (ctx.ts, ctx.tsp):
-        v = left_zero_criterion(ctx.g, t)
+    for side in ctx.sides:
+        v = left_zero_criterion(ctx.g, side.table)
         if not v.equivalence_holds:
-            return Verdict(False, (t.side, v.witness))
+            return Verdict(False, (side.name, v.witness))
     return Verdict(True)
 
 
 def _check_p333(ctx: _Ctx) -> Verdict:
-    inter = ctx.inter.indices
-    if not ideal_check(ctx.ts, inter).left_ideal:
-        return Verdict(False, ("S",))
-    mirror = tuple(sorted(int(ctx.sigma[i]) for i in inter))
-    if not ideal_check(ctx.tsp, mirror).left_ideal:
-        return Verdict(False, ("S'",))
+    inter = list(ctx.inter.indices)
+    for side, sub in zip(ctx.sides, (inter, ctx.sigma[inter])):
+        if not left_ideal(side.table, sub):
+            return Verdict(False, (side.name,))
     return Verdict(True)
 
 
 def _check_p334(ctx: _Ctx) -> Verdict:
-    for t in (ctx.ts, ctx.tsp):
-        if not minimal_ideal(t, j_ideal(t)):
-            return Verdict(False, (t.side,))
+    for side in ctx.sides:
+        if not minimal_ideal(side.table, j_ideal(side.table)):
+            return Verdict(False, (side.name,))
     return Verdict(True)
 
 
@@ -263,11 +265,10 @@ def _check_p337(ctx: _Ctx) -> Verdict:
 
 
 def _check_p338(ctx: _Ctx) -> Verdict:
+    ts, anti = ctx.sides[0].table, ctx.antihoms.antihom_flags
     for i in ctx.inter.indices:
-        f = ctx.ts.elements[i]
-        if not morphism_classify(ctx.g, ctx.g, f.map).antihomomorphism:
-            continue
-        if star(f, f).map != star_prime(f, f).map:
+        f = ts.elements[i]
+        if anti[i] and star(f, f).map != star_prime(f, f).map:
             return Verdict(False, (i,))
     return Verdict(True)
 
@@ -275,18 +276,19 @@ def _check_p338(ctx: _Ctx) -> Verdict:
 def _check_l37(ctx: _Ctx) -> Verdict:
     # the certificate proved the law from the product formula; this checks
     # it against the stored table
-    if ctx.ts.distinct_translations != len(ctx.ts):
+    ts = ctx.sides[0].table
+    if ts.distinct_translations != len(ts):
         return Verdict(False, ("not injective",))
-    return Verdict(ctx.ts.law_witness is None, ctx.ts.law_witness)
+    return Verdict(ts.law_witness is None, ts.law_witness)
 
 
 def _check_p38(ctx: _Ctx) -> Verdict:
-    for t, h1, units in ((ctx.ts, ctx.h1, ctx.units), (ctx.tsp, ctx.h1p, ctx.unitsp)):
-        if not h1.verified:
-            return Verdict(False, (t.side, h1.witness))
-        cross = units_crosscheck(h1, units)
+    for side in ctx.sides:
+        if not side.h1.verified:
+            return Verdict(False, (side.name, side.h1.witness))
+        cross = units_crosscheck(side.h1, side.units)
         if not cross.agrees:
-            return Verdict(False, (t.side, cross.witness))
+            return Verdict(False, (side.name, cross.witness))
     return Verdict(True)
 
 
@@ -307,7 +309,7 @@ def _subgroupoids(g: Groupoid):
 def _check_p39(ctx: _Ctx) -> Verdict:
     subs, mode = _subgroupoids(ctx.g)
     for sub in subs:
-        repnt = subgroupoid_semigroup(ctx.g, sub, ctx.ts)
+        repnt = subgroupoid_semigroup(ctx.g, sub, ctx.sides[0].table)
         if not (repnt.closed and repnt.translation_agrees):
             return Verdict(False, (sub, repnt.witness))
     return Verdict(True, mode)
@@ -328,19 +330,21 @@ def _check_p310(ctx: _Ctx) -> Verdict:
 
 
 def _check_p311(ctx: _Ctx) -> Verdict:
-    for t, tg, units in ((ctx.ts, ctx.tg, ctx.units), (ctx.tsp, ctx.tgp, ctx.unitsp)):
+    for side in ctx.sides:
+        tg = side.tg
         if not (tg.closed and tg.contains_identity and tg.left_cancellative):
-            return Verdict(False, (t.side, tg.witness))
+            return Verdict(False, (side.name, tg.witness))
         # at finite scale T_G is the unit group, read here from the table alone
-        stray = set(tg.indices) ^ set(units)
+        stray = set(tg.indices) ^ set(side.units)
         if stray:
-            return Verdict(False, (t.side, "units", min(stray)))
+            return Verdict(False, (side.name, "units", min(stray)))
     # the involution carries T_G onto T_G', which was computed from the S' table
-    mirror = set(ctx.tgp.indices)
-    for i in ctx.tg.indices:
+    tg, tgp = (side.tg for side in ctx.sides)
+    mirror = set(tgp.indices)
+    for i in tg.indices:
         if int(ctx.sigma[i]) not in mirror:
             return Verdict(False, ("involution", "S", i))
-    missed = mirror - {int(ctx.sigma[i]) for i in ctx.tg.indices}
+    missed = mirror - {int(ctx.sigma[i]) for i in tg.indices}
     if missed:
         return Verdict(False, ("involution", "S'", min(missed)))
     return Verdict(True)
@@ -385,7 +389,7 @@ _CHECKS = {
     "CLOSING": _check_closing,
 }
 
-assert tuple(_CHECKS) == CHECK_IDS
+CHECK_IDS = tuple(_CHECKS)
 
 
 def full_report(
@@ -401,17 +405,17 @@ def full_report(
         raise ShapeError(f"unknown check ids: {unknown}")
     ctx = _Ctx(g, cap, product_cap)
     verdicts = {cid: _CHECKS[cid](ctx) for cid in CHECK_IDS if cid in selected}
-    spec = special_elements(ctx.ts)
+    s = ctx.sides[0]
     return StructureReport(
         groupoid=g,
-        monoid_size=len(ctx.ts),
-        idempotent_indices=spec.idempotents,
-        right_zero_indices=spec.right_zeros,
-        left_zero_indices=spec.left_zeros,
-        unit_group_indices=ctx.h1.indices,
-        unit_group_inverse=ctx.h1.inverse,
-        tg_indices=ctx.tg.indices,
-        j_ideal_indices=j_ideal(ctx.ts),
+        monoid_size=len(s.table),
+        idempotent_indices=s.special.idempotents,
+        right_zero_indices=s.special.right_zeros,
+        left_zero_indices=s.special.left_zeros,
+        unit_group_indices=s.h1.indices,
+        unit_group_inverse=s.h1.inverse,
+        tg_indices=s.tg.indices,
+        j_ideal_indices=j_ideal(s.table),
         intersection_indices=ctx.inter.indices,
         verdicts=verdicts,
     )

@@ -6,14 +6,18 @@ generated-ideal minimality criterion, the group of units characterised
 through bijective translations (cross-checked against the set of
 Cayley-invertible elements), the dense-translation submonoid, subsemigroups
 attached to subgroupoids, and the classification of antihomomorphism
-members.  Translations are read from the table's ``trans`` array.  Verdicts
-carry witnesses so a failure is reproducible from the report alone.
+members.  Translations and member maps are read from the table's ``trans``
+and ``maps`` arrays.  A fact that several operations share (the special
+elements, the bijective-translation set and its closure, the
+left-cancellative mask) is passed in by the caller, which computes it once
+per table.  Verdicts carry witnesses so a failure is reproducible from the
+report alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,16 +61,10 @@ def left_zero_criterion(g: Groupoid, t: MonoidTable) -> LeftZeroVerdict:
     sides of the equivalence are computed independently."""
     j = j_index(t)
     j_left = bool((t.op[j] == j).all())
-    witness = None
-    fix = True
-    for i, f in enumerate(t.elements):
-        for u in g.units:
-            if f.map[u] != u:
-                fix = False
-                witness = (i, u)
-                break
-        if not fix:
-            break
+    units = list(g.units)
+    moved = np.argwhere(t.maps[:, units] != units)
+    witness = (int(moved[0, 0]), units[moved[0, 1]]) if len(moved) else None
+    fix = witness is None
     return LeftZeroVerdict(j_left, fix, j_left == fix, witness)
 
 
@@ -77,15 +75,20 @@ class IdealVerdict:
     ideal: bool
 
 
-def ideal_check(t: MonoidTable, subset: Sequence[int]) -> IdealVerdict:
-    """Left, right and two-sided ideal membership by table scan."""
-    sub = sorted(set(int(i) for i in subset))
-    if not sub:
-        raise EmptySubset("ideal subset must be nonempty")
+def left_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
+    """Whether S I lies in I, by a scan of the table's columns at I."""
     mask = np.zeros(len(t), dtype=bool)
-    mask[sub] = True
-    left = bool(mask[t.op[:, sub]].all())
-    right = bool(mask[t.op[sub, :]].all())
+    mask[[int(i) for i in subset]] = True
+    if not mask.any():
+        raise EmptySubset("ideal subset must be nonempty")
+    return bool(mask[t.op[:, mask]].all())
+
+
+def ideal_check(t: MonoidTable, subset: Sequence[int]) -> IdealVerdict:
+    """Left, right and two-sided ideal membership by table scan; I is a
+    right ideal of S exactly when it is a left ideal of the opposite monoid."""
+    left = left_ideal(t, subset)
+    right = left_ideal(replace(t, op=t.op.T), subset)
     return IdealVerdict(left, right, left and right)
 
 
@@ -128,36 +131,40 @@ def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:
     return bool(mask[t.op[np.ix_(mask, mask)]].all())
 
 
-def _bijective_translations(t: MonoidTable) -> tuple[int, ...]:
+def bijective_translations(t: MonoidTable) -> tuple[tuple[int, ...], bool]:
+    """The members whose translation is a bijection of G, and whether the
+    table closes that set.  H(1) and T_G are both read from this pair."""
     n = t.groupoid.size
     bijective = (np.sort(t.trans, axis=1) == np.arange(n)).all(axis=1)
-    return tuple(int(i) for i in np.flatnonzero(bijective))
+    indices = tuple(int(i) for i in np.flatnonzero(bijective))
+    return indices, _closed(t, indices)
 
 
-def group_of_units(g: Groupoid, t: MonoidTable) -> UnitGroup:
+def group_of_units(g: Groupoid, t: MonoidTable,
+                   bijective: tuple[tuple[int, ...], bool]) -> UnitGroup:
     """H(1) = members whose left translation is a bijection of G.
 
-    For each member the inverse is constructed pointwise from the
-    translation: psi(y) = (phi(x))^-1 where y = phi(x) x, then the group
-    laws phi psi = psi phi = identity and closure are verified against the
-    table.  Mirrored via right translations on side S'.
+    ``bijective`` is ``bijective_translations(t)``.  For each member the
+    inverse is constructed pointwise from the translation:
+    psi(y) = (phi(x))^-1 where y = phi(x) x, then the group laws
+    phi psi = psi phi = identity are verified against the table.  Mirrored
+    via right translations on side S'.
     """
-    indices = _bijective_translations(t)
+    indices, closed = bijective
+    inv = np.asarray(g.inverse)
     inverse = {}
     witness = None
     verified = True
     for i in indices:
-        psi = [0] * g.size
-        for x, y in enumerate(t.trans[i]):
-            psi[y] = g.inverse[t.elements[i].map[x]]
-        k = t.index.get(tuple(psi))
+        psi = inv[t.maps[i]][np.argsort(t.trans[i])]  # psi(phi(x) x) = phi(x)^-1
+        k = t.index.get(tuple(psi.tolist()))
         if k is None:
             verified, witness = False, (i, "inverse not a member")
             continue
         inverse[i] = k
         if t.mul(i, k) != t.identity or t.mul(k, i) != t.identity:
             verified, witness = False, (i, k)
-    if not _closed(t, indices):
+    if not closed:
         verified, witness = False, ("closure",)
     if t.identity not in indices:
         verified, witness = False, ("identity missing",)
@@ -183,12 +190,11 @@ def units_crosscheck(h1: UnitGroup, invertible: Sequence[int]) -> CrossCheck:
     return CrossCheck(not stray, stray or None)
 
 
-def left_cancellative(t: MonoidTable, rows: Sequence[int] | None = None) -> np.ndarray:
-    """Whether each of ``rows`` (default: every member) is left-cancellative,
-    i.e. its row of the Cayley table repeats no value."""
-    op = t.op if rows is None else t.op[list(rows)]
-    hit = np.zeros(op.shape, dtype=bool)
-    hit[np.arange(len(op))[:, None], op] = True
+def left_cancellative(t: MonoidTable) -> np.ndarray:
+    """Whether each member is left-cancellative, i.e. its row of the Cayley
+    table repeats no value."""
+    hit = np.zeros(t.op.shape, dtype=bool)
+    hit[np.arange(len(t))[:, None], t.op] = True
     return hit.all(axis=1)
 
 
@@ -201,13 +207,15 @@ class DenseSubmonoid:
     witness: tuple | None
 
 
-def dense_submonoid(g: Groupoid, t: MonoidTable) -> DenseSubmonoid:
+def dense_submonoid(t: MonoidTable, bijective: tuple[tuple[int, ...], bool],
+                    cancellative: np.ndarray) -> DenseSubmonoid:
     """Members whose translation image is dense, i.e. all of G at finite
-    discrete scale.  Verifies closure, the identity and exhaustive left
-    cancellativity; the report matches the set with its mirror through the
-    involution."""
-    indices = _bijective_translations(t)
-    cancellative = left_cancellative(t, indices)
+    discrete scale, from ``bijective_translations(t)``.  Verifies closure,
+    the identity and exhaustive left cancellativity, read from the mask
+    ``left_cancellative(t)``; the report matches the set with its mirror
+    through the involution."""
+    indices, closed = bijective
+    cancellative = cancellative[list(indices)]
     witness = None
     if not cancellative.all():  # the first column whose product repeats an earlier one
         i = indices[int(np.argmin(cancellative))]
@@ -216,8 +224,7 @@ def dense_submonoid(g: Groupoid, t: MonoidTable) -> DenseSubmonoid:
         repeat[np.unique(row, return_index=True)[1]] = False
         k = int(np.argmax(repeat))
         witness = (i, int(np.argmax(row == row[k])), k)
-    return DenseSubmonoid(indices, _closed(t, indices), t.identity in indices,
-                          witness is None, witness)
+    return DenseSubmonoid(indices, closed, t.identity in indices, witness is None, witness)
 
 
 def validate_subgroupoid(g: Groupoid, a: Sequence[int]) -> tuple[int, ...]:
@@ -256,8 +263,7 @@ def subgroupoid_semigroup(g: Groupoid, a: Sequence[int], t: MonoidTable) -> Subg
     sub = validate_subgroupoid(g, a)
     in_sub = np.zeros(g.size, dtype=bool)
     in_sub[list(sub)] = True
-    maps = np.array([f.map for f in t.elements])
-    preserves = in_sub[maps[:, sub]].all(axis=1)
+    preserves = in_sub[t.maps[:, sub]].all(axis=1)
     indices = tuple(int(i) for i in np.flatnonzero(preserves))
     mismatch = np.flatnonzero(preserves != in_sub[t.trans[:, sub]].all(axis=1))
     witness = (int(mismatch[0]),) if len(mismatch) else None
@@ -327,6 +333,7 @@ def count_intertwining_maps(g: Groupoid) -> int:
 class AntihomVerdicts:
     injective_idempotent_antihoms: tuple[int, ...]
     right_zero_antihoms: tuple[int, ...]
+    antihom_flags: tuple[bool, ...]
     only_j_rule_six: bool
     only_j_rule_seven: bool
     bijective_inverses_in_mirror: bool
@@ -334,49 +341,38 @@ class AntihomVerdicts:
     witness: tuple | None
 
 
-def antihom_classification(g: Groupoid, t: MonoidTable) -> AntihomVerdicts:
+def antihom_classification(g: Groupoid, t: MonoidTable, spec: SpecialElements) -> AntihomVerdicts:
     """Classify members that are antihomomorphisms of the base groupoid.
 
-    Checks that j is the only injective idempotent antihomomorphism and the
-    only right-zero antihomomorphism, and that the function inverse of each
-    bijective member lands on the mirror side.  Injective idempotents that
-    are not antihomomorphisms are recorded separately.
+    ``spec`` is ``special_elements(t)``.  Checks that j is the only injective
+    idempotent antihomomorphism and the only right-zero antihomomorphism,
+    and that the function inverse of each bijective member lands on the
+    mirror side.  Injective idempotents that are not antihomomorphisms are
+    recorded separately; ``antihom_flags[i]`` says whether member i is one.
     """
     j = j_index(t)
-    spec = special_elements(t)
-    idem = set(spec.idempotents)
-    rzero = set(spec.right_zeros)
-    anti_flags = {}
-    for i, f in enumerate(t.elements):
-        anti_flags[i] = morphism_classify(g, g, f.map).antihomomorphism
+    anti_flags = tuple(morphism_classify(g, g, f.map).antihomomorphism for f in t.elements)
 
-    rule6 = tuple(sorted(i for i in idem
-                         if len(set(t.elements[i].map)) == g.size and anti_flags[i]))
-    rule7 = tuple(sorted(i for i in rzero if anti_flags[i]))
-    extra = tuple(sorted(i for i in idem
-                         if len(set(t.elements[i].map)) == g.size and not anti_flags[i]))
+    injective = (np.sort(t.maps, axis=1) == np.arange(g.size)).all(axis=1)
+    rule6 = tuple(i for i in spec.idempotents if injective[i] and anti_flags[i])
+    rule7 = tuple(i for i in spec.right_zeros if anti_flags[i])
+    extra = tuple(i for i in spec.idempotents if injective[i] and not anti_flags[i])
 
-    mirror_ok = True
-    witness = None
-    for i, f in enumerate(t.elements):
-        if len(set(f.map)) != g.size:
-            continue
-        back = [0] * g.size
-        for x, v in enumerate(f.map):
-            back[v] = x
-        flags = membership(g, back)
-        ok = flags.in_spg if t.side == "S" else flags.in_sg
-        if not ok:
-            mirror_ok = False
-            witness = (i,)
-            break
+    # the function inverse of a bijective member is back[f(x)] = x; on side
+    # S it must lie in S' (r(back(x)) = d(x)), on side S' in S
+    back = np.argsort(t.maps, axis=1)
+    rm, dm = np.asarray(g.range_map), np.asarray(g.domain_map)
+    lands = (rm[back] == dm) if t.side == "S" else (dm[back] == rm)
+    stray = np.flatnonzero(injective & ~lands.all(axis=1))
+    witness = (int(stray[0]),) if len(stray) else None
 
     return AntihomVerdicts(
         injective_idempotent_antihoms=rule6,
         right_zero_antihoms=rule7,
+        antihom_flags=anti_flags,
         only_j_rule_six=rule6 == (j,),
         only_j_rule_seven=rule7 == (j,),
-        bijective_inverses_in_mirror=mirror_ok,
+        bijective_inverses_in_mirror=witness is None,
         injective_idempotent_non_antihoms=extra,
         witness=witness,
     )
@@ -393,10 +389,7 @@ class IntersectionReport:
 def intersection_analysis(g: Groupoid, t: MonoidTable) -> IntersectionReport:
     """S and S' intersected, as indices of the given table, together with
     the principality flag and the one-way implication between them."""
-    if t.side == "S":
-        inter = tuple(i for i, f in enumerate(t.elements) if f.in_spg)
-    else:
-        inter = tuple(i for i, f in enumerate(t.elements) if f.in_sg)
+    inter = tuple(i for i, f in enumerate(t.elements) if (f.in_spg if t.side == "S" else f.in_sg))
     only_j = inter == (j_index(t),)
     principal = is_principal(g)
     forward = (not principal) or only_j

@@ -36,6 +36,7 @@ from gpd.groupoid import GroupoidSpec, build_groupoid
 from gpd.operators import representation_audit
 from gpd.report import full_report
 from gpd.structure import (
+    bijective_translations,
     cayley_units,
     dense_submonoid,
     group_of_units,
@@ -139,13 +140,13 @@ def test_units(table_corpus):
     ok = True
     for name, g, ts, tsp in table_corpus:
         for t in (ts, tsp):
-            h1 = group_of_units(g, t)
+            h1 = group_of_units(g, t, bijective_translations(t))
             ok &= h1.verified
             ok &= units_crosscheck(h1, cayley_units(t)).agrees
             for i, k in h1.inverse.items():
                 ok &= t.mul(i, k) == t.identity and t.mul(k, i) == t.identity
         if name == "C2":
-            ok &= len(group_of_units(g, ts).indices) == 2
+            ok &= len(group_of_units(g, ts, bijective_translations(ts)).indices) == 2
     verdict("units", ok)
 
 
@@ -154,8 +155,8 @@ def test_dense_submonoid(table_corpus):
     for name, g, ts, tsp in table_corpus:
         dense = {}
         for t in (ts, tsp):
-            tg = dense_submonoid(g, t)
-            h1 = group_of_units(g, t)
+            tg = dense_submonoid(t, bijective_translations(t), left_cancellative(t))
+            h1 = group_of_units(g, t, bijective_translations(t))
             ok &= tg.indices == h1.indices
             ok &= tg.closed and tg.contains_identity and tg.left_cancellative
             dense[t.side] = [t.elements[i] for i in tg.indices]

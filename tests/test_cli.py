@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-import gpd.structure
+import gpd.report
 from gpd import census, corpus, io
 from gpd.cli import main
 
@@ -113,6 +113,17 @@ def test_verify_unknown_prop(tmp_path):
     assert run(["verify", path, "--props", "P9.9"]) == 2
 
 
+@pytest.mark.parametrize("props", [",", " ", " , "])
+def test_verify_selection_naming_no_id(tmp_path, capsys, props):
+    path = write_c2(tmp_path)
+    assert run(["verify", path, "--props", props]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "names no check id" in err
+    for full in ("", "all"):
+        assert run(["verify", path, "--props", full]) == 0
+        assert len(json.loads(capsys.readouterr().out)["checks"]) == 18
+
+
 def test_verify_text_format(tmp_path, capsys):
     path = write_c2(tmp_path)
     assert run(["verify", path, "--format", "text"]) == 0
@@ -124,7 +135,7 @@ def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
     # a wrong bijective-translation predicate shrinks T_G to the identity;
     # P3.11 compares it with the table's units and fails
     path = write_c2(tmp_path)
-    monkeypatch.setattr(gpd.structure, "_bijective_translations", lambda t: (t.identity,))
+    monkeypatch.setattr(gpd.report, "bijective_translations", lambda t: ((t.identity,), True))
     assert run(["verify", path, "--props", "P3.11"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["checks"]["P3.11"] == {"pass": False, "witness": ["S", "units", 3]}

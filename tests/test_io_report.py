@@ -9,6 +9,7 @@ from gpd.census import enumerate_groupoids, principal_converse_search
 from gpd.endo import (
     DEFAULT_MONOID_CAP,
     DEFAULT_PRODUCT_CAP,
+    SIDES,
     enumerate_monoid,
     gfun,
     involution_star,
@@ -18,8 +19,9 @@ from gpd.endo import (
     star_prime,
 )
 from gpd.errors import ShapeError
-from gpd.operators import left_operator
+from gpd.operators import Verdict, left_operator
 import gpd.endo
+import gpd.groupoid
 import gpd.report
 import gpd.structure
 from gpd.report import CHECK_IDS, _Ctx, full_report
@@ -166,7 +168,7 @@ def test_p311_catches_involution_fault(c2):
     # C2: the units of S are 0 and 3; member 1 (= j) of S' is not dense
     ctx = _Ctx(c2, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
     assert gpd.report._check_p311(ctx).passed
-    assert ctx.tg.indices == (0, 3) and 1 not in ctx.tgp.indices
+    assert ctx.sides[0].tg.indices == (0, 3) and 1 not in ctx.sides[1].tg.indices
     ctx.sigma = ctx.sigma.copy()
     ctx.sigma[3] = 1
     verdict = gpd.report._check_p311(ctx)
@@ -178,7 +180,7 @@ def test_p311_units_come_from_the_table(c2, monkeypatch):
     # T_G and H(1) share the bijective-translation test; P3.11 compares T_G
     # with the Cayley-invertible set, so a wrong predicate is caught
     assert full_report(c2, ("P3.11",)).all_passed
-    monkeypatch.setattr(gpd.structure, "_bijective_translations", lambda t: (t.identity,))
+    monkeypatch.setattr(gpd.report, "bijective_translations", lambda t: ((t.identity,), True))
     verdict = full_report(c2, ("P3.11",)).verdicts["P3.11"]
     assert verdict.as_dict() == {"pass": False, "witness": ["S", "units", 3]}
 
@@ -190,19 +192,25 @@ def _corrupt(t, i, j):
     return dataclasses.replace(t, op=op)
 
 
-def _law_verdicts(g, side, i, j):
+def _corrupted_ctx(g, side, i, j):
+    """A report context whose table on ``side`` has cell (i, j) moved before
+    any check reads it."""
     ctx = _Ctx(g, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
-    if side == "S":
-        ctx.ts = _corrupt(ctx.ts, i, j)
-    else:
-        ctx.tsp = _corrupt(ctx.tsp, i, j)
+    s = ctx.sides[SIDES.index(side)]
+    s.table = _corrupt(s.table, i, j)
+    return ctx
+
+
+def _law_verdicts(g, side, i, j):
+    ctx = _corrupted_ctx(g, side, i, j)
     return ctx, {cid: gpd.report._CHECKS[cid](ctx) for cid in ("L3.7", "P4.1", "P4.2", "C4.3")}
 
 
 def test_law_checks_fail_on_a_corrupted_cell(c3):
     i, j = 5, 11
     ctx, v = _law_verdicts(c3, "S", i, j)
-    ts, w = ctx.ts, int(ctx.ts.op[i, j])
+    ts = ctx.sides[0].table
+    w = int(ts.op[i, j])
     assert [cid for cid, verdict in v.items() if not verdict.passed] == ["L3.7", "P4.1", "C4.3"]
     assert v["L3.7"].witness == (i, j)
     assert v["P4.1"].witness == ("left_hom", (i, j))
@@ -213,7 +221,8 @@ def test_law_checks_fail_on_a_corrupted_cell(c3):
     assert right_translation(mirrored) != right_translation(involution_star(fw))
 
     ctx, v = _law_verdicts(c3, "S'", i, j)
-    tsp, w = ctx.tsp, int(ctx.tsp.op[i, j])
+    tsp = ctx.sides[1].table
+    w = int(tsp.op[i, j])
     assert [cid for cid, verdict in v.items() if not verdict.passed] == ["P4.2"]
     assert v["P4.2"].witness == ("right_hom", (i, j))
     hi, hj = tsp.elements[i], tsp.elements[j]
@@ -223,9 +232,9 @@ def test_law_checks_fail_on_a_corrupted_cell(c3):
 def test_p41_units_come_from_the_table(c3):
     # moving the inverse cell of unit 5 leaves 5 without a two-sided inverse
     # in the table, while its operator still has det != 0
-    ctx = _Ctx(c3, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
-    assert ctx.ts.op[5, 5] == ctx.ts.identity
-    ctx.ts = _corrupt(ctx.ts, 5, 5)
+    t = enumerate_monoid(c3, "S")
+    assert t.op[5, 5] == t.identity
+    ctx = _corrupted_ctx(c3, "S", 5, 5)
     verdict = ctx.rep_verdicts["left_units_invertible"]
     assert verdict.passed is False
     i, det = verdict.witness
@@ -235,11 +244,28 @@ def test_p41_units_come_from_the_table(c3):
 def test_p41_dense_rank_compares_with_the_table(c3):
     # the same moved cell makes row 5 of the table repeat a value, so 5 is
     # not left-cancellative while its operator still has full rank
-    ctx = _Ctx(c3, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
-    ctx.ts = _corrupt(ctx.ts, 5, 5)
+    ctx = _corrupted_ctx(c3, "S", 5, 5)
     verdict = ctx.rep_verdicts["left_dense_full_rank"]
     assert verdict.passed is False
     assert verdict.witness == (5,)
+
+
+@pytest.mark.parametrize("name, side, cell, cid, witness", [
+    # the involution no longer carries this product to the mirror product
+    ("c3", "S", (5, 11), "P3.2", (5, 11)),
+    # r * j != j: j (member 7) stops being a right zero
+    ("c3", "S", (0, 7), "P3.3.1", ("S", 7)),
+    # a product into the intersection {j} lands outside it
+    ("pair2", "S", (0, 5), "P3.3.3", ("S",)),
+    ("c3", "S", (0, 7), "P3.3.4", ("S",)),
+    # 2 * 2 becomes the identity: a table unit that H(1) lacks
+    ("pair2", "S", (2, 2), "P3.8", ("S", (2,))),
+    # the members preserving the unit {0} stop being closed
+    ("c2", "S", (0, 1), "P3.9", ((0,), None)),
+])
+def test_structure_checks_fail_on_a_corrupted_cell(request, name, side, cell, cid, witness):
+    ctx = _corrupted_ctx(request.getfixturevalue(name), side, *cell)
+    assert gpd.report._CHECKS[cid](ctx) == Verdict(False, witness)
 
 
 def test_rebuilt_table_recomputes_cached_facts(c3):
@@ -269,11 +295,23 @@ def _count_calls(monkeypatch, fn):
 
 def test_shared_table_facts_are_computed_once(c3, monkeypatch):
     laws = _count_calls(monkeypatch, gpd.endo.translation_law_witness)
-    units = _count_calls(monkeypatch, gpd.structure.cayley_units)
     tables = _count_calls(monkeypatch, gpd.endo.enumerate_monoid)
-    assert full_report(c3).all_passed
+    per_side = [_count_calls(monkeypatch, fn) for fn in (
+        gpd.structure.cayley_units, gpd.structure.special_elements,
+        gpd.structure.left_cancellative, gpd.structure.bijective_translations)]
+    classified = _count_calls(monkeypatch, gpd.groupoid.morphism_classify)
+    ideals = _count_calls(monkeypatch, gpd.structure.ideal_check)
+    report = full_report(c3)
+    assert report.all_passed
     assert len(laws) == 3  # side S, side S', the mixed action
-    assert sorted(args[0].side for args in units) == ["S", "S'"]
+    for calls in per_side:
+        assert sorted(args[0].side for args in calls) == ["S", "S'"]
+    assert len(classified) <= report.monoid_size
+    # only P3.3.4 tests both halves of an ideal; P3.3.3 reads left ideals
+    assert sorted(args[0].side for args in ideals) == ["S", "S'"]
+    ideals.clear()
+    assert full_report(c3, ("P3.3.3",)).all_passed
+    assert ideals == []
     laws.clear()
     tables.clear()
     assert full_report(c3, ("L3.7",)).all_passed

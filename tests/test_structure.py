@@ -8,6 +8,7 @@ from gpd.endo import enumerate_monoid, gfun, involution_star, iter_monoid_maps, 
 from gpd.errors import EmptySubset, NotASubgroupoid, PreconditionFailed
 from gpd.structure import (
     antihom_classification,
+    bijective_translations,
     cayley_units,
     count_intertwining_maps,
     dense_submonoid,
@@ -17,6 +18,7 @@ from gpd.structure import (
     iter_intertwining_maps,
     j_ideal,
     j_index,
+    left_cancellative,
     left_zero_criterion,
     minimal_ideal,
     range_domain_criterion,
@@ -146,7 +148,7 @@ def test_ideal_check_empty(sg_c2):
 
 
 def test_group_of_units_c2(sg_c2):
-    h1 = group_of_units(sg_c2.groupoid, sg_c2)
+    h1 = group_of_units(sg_c2.groupoid, sg_c2, bijective_translations(sg_c2))
     assert h1.indices == (0, 3)
     assert h1.verified
     assert h1.inverse == {0: 0, 3: 3}
@@ -157,7 +159,7 @@ def test_group_of_units_c2(sg_c2):
 def test_group_of_units_trivial_cases():
     u2 = corpus.unit_groupoid(2)
     t = enumerate_monoid(u2, "S")
-    h1 = group_of_units(u2, t)
+    h1 = group_of_units(u2, t, bijective_translations(t))
     assert h1.indices == (t.identity,)
     assert units_crosscheck(h1, cayley_units(t)).agrees
 
@@ -165,7 +167,7 @@ def test_group_of_units_trivial_cases():
 def test_r_always_in_h1_and_crosscheck(small_corpus):
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        h1 = group_of_units(g, t)
+        h1 = group_of_units(g, t, bijective_translations(t))
         assert t.identity in h1.indices, name
         assert h1.verified, name
         assert units_crosscheck(h1, cayley_units(t)).agrees, name
@@ -173,19 +175,23 @@ def test_r_always_in_h1_and_crosscheck(small_corpus):
         assert (j_index(t) in h1.indices) == (len(g.units) == g.size), name
 
 
+def _dense(t):
+    return dense_submonoid(t, bijective_translations(t), left_cancellative(t))
+
+
 def test_dense_submonoid(sg_c2, small_corpus):
-    tg = dense_submonoid(sg_c2.groupoid, sg_c2)
+    tg = _dense(sg_c2)
     assert tg.indices == (0, 3)  # equals H(1)
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        tg = dense_submonoid(g, t)
-        h1 = group_of_units(g, t)
+        tg = _dense(t)
+        h1 = group_of_units(g, t, bijective_translations(t))
         assert tg.indices == h1.indices, name  # finite case: dense = bijective
         assert tg.closed and tg.contains_identity, name
         assert tg.left_cancellative, name
         # the involution carries T_G onto the mirror set of side S'
         tsp = enumerate_monoid(g, "S'")
-        mirror = {tsp.elements[k].map for k in dense_submonoid(g, tsp).indices}
+        mirror = {tsp.elements[k].map for k in _dense(tsp).indices}
         assert {involution_star(t.elements[i]).map for i in tg.indices} == mirror, name
 
 
@@ -195,7 +201,7 @@ def test_dense_submonoid_cancellation_witness(c3):
     t = enumerate_monoid(c3, "S")
     op = t.op.copy()
     op[5, 11] = (op[5, 11] + 1) % len(t)
-    tg = dense_submonoid(c3, dataclasses.replace(t, op=op))
+    tg = _dense(dataclasses.replace(t, op=op))
     assert not tg.left_cancellative
     i, j, k = tg.witness
     assert i == 5 and j < k and op[5, j] == op[5, k]
@@ -259,7 +265,7 @@ def test_unit_fixing_membership_equivalence(small_corpus):
 
 
 def test_antihom_classification_c2(sg_c2):
-    v = antihom_classification(sg_c2.groupoid, sg_c2)
+    v = antihom_classification(sg_c2.groupoid, sg_c2, special_elements(sg_c2))
     assert v.injective_idempotent_antihoms == (1,)
     assert v.right_zero_antihoms == (1,)
     assert v.only_j_rule_six and v.only_j_rule_seven
@@ -271,7 +277,7 @@ def test_antihom_classification_c2(sg_c2):
 def test_antihom_classification_corpus(small_corpus):
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        v = antihom_classification(g, t)
+        v = antihom_classification(g, t, special_elements(t))
         assert v.only_j_rule_six, name
         assert v.only_j_rule_seven, name
         assert v.bijective_inverses_in_mirror, name
