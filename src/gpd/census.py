@@ -5,15 +5,13 @@ member f to psi . f . psi^-1, and this assignment preserves identities and
 products and composes functorially; ``monoid_iso_audit`` and
 ``functoriality_audit`` verify those laws exhaustively at small scale.
 
-``enumerate_groupoids`` finds every groupoid structure on n labeled points
-by backtracking.  It builds only structures whose unit set is {0..u-1},
-each standing for its comb(n, u) relabelled copies, so ``total_found``
-still counts every labelled structure.  The inverse involution and the
-range map are chosen first (they pin down which cells of the product table
-exist), then products are filled cell by cell under the cancellation laws,
-each assignment forcing its three companions x^-1(xy) = y, (xy)y^-1 = x and
-(xy)^-1 = y^-1 x^-1.  Completed tables are re-validated from scratch and
-deduplicated by a canonical form, so representatives are deterministic.
+``enumerate_groupoids`` builds the census from the structure theorem: a
+connected finite groupoid is isomorphic to H x pair(k), H its isotropy
+group (Brown, Topology and Groupoids), so the classes of order n are the
+multisets of components (H, k) with sum |H| k^2 = n.  The groups H come
+from a backtracker over one-unit product tables.  Each class is built
+once and sorted by its canonical form, so representatives are
+deterministic.
 
 The canonical form is the least key, relabelled inverse array first, over
 the relabelings that keep each fingerprint class on its own block of ids.
@@ -21,27 +19,25 @@ A class is closed under inversion, and the least inverse array puts each
 of its inverse pairs on two adjacent ids, so only those orders are tried.
 
 The probe records, for every census groupoid, whether it is principal and
-whether the two monoids meet only in j; a non-principal groupoid whose
-intersection is {j} would be a counterexample candidate to the open
-converse.  The probe is search evidence over the stated range, nothing
-more.
+whether the two monoids meet only in j.  For finite discrete groupoids the
+converse of the paper's closing remark is a theorem: a member of both
+sides chooses at each x an arrow of a hom-set the size of the isotropy
+group at r(x) (``intersection_size``), so the intersection is {j} exactly
+when G is principal.  It stays open in the paper's topological setting.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .endo import (
     DEFAULT_MONOID_CAP,
     GFun,
-    _Kernel,
     gfun,
     iter_monoid_maps,
-    monoid_maps_array,
     predicted_size,
     star,
 )
@@ -361,43 +357,7 @@ def transformation_embedding_audit(action: GroupAction,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive census
-
-
-def _involutions(n: int):
-    """All self-inverse maps on n points, in lexicographic order."""
-    cur = [None] * n
-
-    def rec(x):
-        if x == n:
-            yield tuple(cur)
-            return
-        if cur[x] is not None:
-            yield from rec(x + 1)
-            return
-        cur[x] = x
-        yield from rec(x + 1)
-        cur[x] = None
-        for y in range(x + 1, n):
-            if cur[y] is None:
-                cur[x], cur[y] = y, x
-                yield from rec(x + 1)
-                cur[x] = cur[y] = None
-
-    yield from rec(0)
-
-
-def _skeletons(n: int):
-    """(weight, iota, rng) with unit set {0..u-1}: both fix the units, iota
-    is any involution on the rest and rng sends the rest into the units.
-    Relabelling by a fixed bijection U -> {0..u-1} maps the structures with
-    unit set U one-to-one onto these, hence the weight comb(n, u)."""
-    for u in range(1, n + 1):
-        units = tuple(range(u))
-        for tail in _involutions(n - u):
-            iota = units + tuple(u + t for t in tail)
-            for choice in itertools.product(units, repeat=n - u):
-                yield math.comb(n, u), iota, units + choice
+# the census from the structure theorem
 
 
 def _complete_products(n: int, iota, rng):
@@ -491,6 +451,50 @@ def _complete_products(n: int, iota, rng):
     yield from dfs(0)
 
 
+def _groups(m: int) -> list[Groupoid]:
+    """One group of each isomorphism class of order m.
+
+    The backtracker runs with the unit set {0}.  Any two involutions of
+    {1..m-1} with t fixed points are conjugate by a relabelling that fixes
+    0, so one inverse map per t meets every class.
+    """
+    found = {}
+    for t in range((m - 1) % 2, m, 2):
+        iota = tuple(range(t + 1)) + tuple(x + 1 if (x - t) % 2 else x - 1
+                                           for x in range(t + 1, m))
+        for table in _complete_products(m, iota, (0,) * m):
+            g = make_groupoid(m, table, iota)
+            found.setdefault(canonical_form(g), g)
+    return [found[key] for key in sorted(found)]
+
+
+def _union_of_components(order: int, comps) -> Groupoid:
+    """The disjoint union of the groupoids H x pair(k) for (H, k) in comps:
+    (a,i,j)(b,j,l) = (ab,i,l) and (a,i,j)^-1 = (a^-1,j,i)."""
+    prod = [[UNDEFINED] * order for _ in range(order)]
+    inv = [0] * order
+    base = 0
+    for h, k in comps:
+        m = h.size
+        for i, j, a in itertools.product(range(k), range(k), range(m)):
+            x = base + (i * k + j) * m + a
+            inv[x] = base + (j * k + i) * m + h.inverse[a]
+            for l, b in itertools.product(range(k), range(m)):
+                prod[x][base + (j * k + l) * m + b] = base + (i * k + l) * m + h.product[a][b]
+        base += m * k * k
+    return make_groupoid(order, prod, inv)
+
+
+def _multisets(sizes: list[int], total: int, start: int = 0):
+    """Non-decreasing index tuples into ``sizes`` (all positive) whose sizes
+    sum to total."""
+    if total == 0:
+        yield ()
+    for i in range(start, len(sizes)):
+        if sizes[i] <= total:
+            yield from ((i,) + rest for rest in _multisets(sizes, total - sizes[i], i))
+
+
 @dataclass(frozen=True)
 class Census:
     order: int
@@ -505,24 +509,33 @@ class Census:
 def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census:
     """Every groupoid on ``order`` labeled points, up to isomorphism.
 
-    Only unit sets {0..u-1} are searched; each table found is weighted by
-    comb(order, u), so ``total_found`` counts every labelled structure.
-    Deterministic: candidates arrive in a fixed search order and
-    representatives are sorted by canonical form.
+    One class per multiset of components (H, k) with sum |H| k^2 = order.
+    A class with automorphism group A has order!/|A| labelled copies, and
+    |Aut(H x pair(k))| = |Aut(H)| k! |H|^(k-1), with a further m! for a
+    component repeated m times; ``total_found`` sums these.
+    Deterministic: representatives are sorted by canonical form.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
     if order > max_order:
         raise CapExceeded(f"census order {order} exceeds cap {max_order}", predicted=order)
-    seen: set[tuple] = set()
+    types = []  # (|H| k^2, H, k, |Aut(H x pair(k))|)
+    for m in range(1, order + 1):
+        for h in _groups(m):
+            aut = len(automorphisms(h))
+            types += [(m * k * k, h, k, aut * math.factorial(k) * m ** (k - 1))
+                      for k in range(1, math.isqrt(order // m) + 1)]
+    keys = []
     total = 0
-    for weight, iota, rng in _skeletons(order):
-        for table in _complete_products(order, iota, rng):
-            seen.add(canonical_form(make_groupoid(order, table, iota)))
-            total += weight
+    for choice in _multisets([t[0] for t in types], order):
+        comps = [types[i] for i in choice]
+        aut = math.prod(t[3] for t in comps) * math.prod(
+            math.factorial(c) for c in Counter(choice).values())
+        total += math.factorial(order) // aut
+        keys.append(canonical_form(_union_of_components(order, [(h, k) for _, h, k, _ in comps])))
     reps = tuple(
         groupoid_from_canonical(key, order, f"census-{order}-{i}")
-        for i, key in enumerate(sorted(seen))
+        for i, key in enumerate(sorted(keys))
     )
     return Census(order=order, representatives=reps, total_found=total)
 
@@ -548,14 +561,14 @@ class ProbeReport:
     candidates: tuple[str, ...]
 
 
-def intersection_size(g: Groupoid, cap: int = DEFAULT_MONOID_CAP) -> tuple[int, bool]:
-    """Size of the two-sided intersection and whether it is exactly {j}."""
-    maps = monoid_maps_array(g, "S", cap)
-    ker = _Kernel(g)
-    flags = ker.member_rows(maps, "S'")
-    size = int(flags.sum())
-    only_j = size == 1 and tuple(int(v) for v in maps[int(np.argmax(flags))]) == tuple(g.inverse)
-    return size, only_j
+def intersection_size(g: Groupoid) -> tuple[int, bool]:
+    """Size of the two-sided intersection and whether it is exactly {j}.
+
+    A member of both sides picks at each x, independently, an arrow y with
+    d(y) = r(x) and r(y) = d(x).  j is one, so size 1 means {j}."""
+    homs = Counter(zip(g.range_map, g.domain_map))
+    size = math.prod(homs[g.domain_map[x], g.range_map[x]] for x in g.elements())
+    return size, size == 1
 
 
 def census_through(max_order: int, census_cap: int) -> tuple[Census, ...]:
@@ -566,13 +579,13 @@ def census_through(max_order: int, census_cap: int) -> tuple[Census, ...]:
     return tuple(enumerate_groupoids(order, census_cap) for order in range(1, max_order + 1))
 
 
-def converse_probe(max_order: int, censuses: tuple[Census, ...], monoid_cap: int) -> ProbeReport:
+def converse_probe(max_order: int, censuses: tuple[Census, ...]) -> ProbeReport:
     """The probe over the censuses of orders 1..max_order, already built."""
     rows = []
     forward = True
     for census in censuses:
         for rep in census.representatives:
-            size, only_j = intersection_size(rep, monoid_cap)
+            size, only_j = intersection_size(rep)
             principal = is_principal(rep)
             forward &= only_j or not principal
             rows.append(ProbeRow(census.order, rep.name, principal, size,
@@ -582,10 +595,9 @@ def converse_probe(max_order: int, censuses: tuple[Census, ...], monoid_cap: int
 
 
 def principal_converse_search(max_order: int,
-                              census_cap: int = MAX_CENSUS_ORDER,
-                              monoid_cap: int = DEFAULT_MONOID_CAP) -> ProbeReport:
+                              census_cap: int = MAX_CENSUS_ORDER) -> ProbeReport:
     """Scan the full census for the converse of: principal implies the two
     monoids meet only in j.  Reports any non-principal groupoid whose
     intersection is {j}; finding one is a result to report, not an error.
     Evidence is limited to the searched range."""
-    return converse_probe(max_order, census_through(max_order, census_cap), monoid_cap)
+    return converse_probe(max_order, census_through(max_order, census_cap))

@@ -165,7 +165,7 @@ def cmd_rep(args) -> int:
 def cmd_search(args) -> int:
     cfg = _config(args)
     censuses = census_through(args.order, cfg.cap_order)
-    report = converse_probe(args.order, censuses, cfg.cap_monoid)
+    report = converse_probe(args.order, censuses)
     if args.census_dir:
         import os
 

@@ -24,7 +24,8 @@ on the command line (see the README table for what each one verifies):
     P4.1     left operator representation (hom, injective, units, dense)
     P4.2     right operator representation (mirror)
     C4.3     the induced mixed right action satisfies its composite law
-    CLOSING  principal implies the intersection is exactly {j}
+    CLOSING  principal implies the intersection is exactly {j}; its size
+             matches the product of hom-set sizes
 
 A verdict with ``passed None`` was skipped (reason in the witness field);
 skipped checks do not count as failures unless explicitly requested.
@@ -37,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .census import intersection_size
 from .endo import (
     DEFAULT_MONOID_CAP,
     DEFAULT_PRODUCT_CAP,
@@ -363,7 +365,11 @@ def _check_c43(ctx: _Ctx) -> Verdict:
 
 
 def _check_closing(ctx: _Ctx) -> Verdict:
+    # the intersection enumerated from side S against the product of hom-set sizes
     v = ctx.inter
+    size, _ = intersection_size(ctx.g)
+    if len(v.indices) != size:
+        return Verdict(False, ("enumerated", len(v.indices), "closed form", size))
     return Verdict(v.forward_implication_holds,
                    ("principal", v.principal, "only_j", v.equals_j_only))
 

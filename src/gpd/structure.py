@@ -81,6 +81,8 @@ def left_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
     mask[[int(i) for i in subset]] = True
     if not mask.any():
         raise EmptySubset("ideal subset must be nonempty")
+    if mask.all():
+        return True  # every table cell is a member index
     return bool(mask[t.op[:, mask]].all())
 
 

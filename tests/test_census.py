@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from gpd import corpus
@@ -8,13 +9,13 @@ from gpd.census import (
     Census,
     _complete_products,
     _fingerprints,
-    _involutions,
-    _skeletons,
+    _groups,
     as_isomorphism,
     automorphisms,
     canonical_form,
     enumerate_groupoids,
     functoriality_audit,
+    groupoid_from_canonical,
     induced_gfun,
     intersection_size,
     isomorphic,
@@ -22,7 +23,7 @@ from gpd.census import (
     principal_converse_search,
     transformation_embedding_audit,
 )
-from gpd.endo import gfun, iter_monoid_maps, star
+from gpd.endo import _Kernel, gfun, iter_monoid_maps, monoid_maps_array, star
 from gpd.errors import CapExceeded, NotAnIsomorphism
 from gpd.groupoid import Groupoid, disjoint_union, make_groupoid
 
@@ -304,6 +305,79 @@ def test_census_matches_constructive_oracle(order, count):
         used.add(matches[0])
 
 
+# oracle 5: the backtracking census.  Every involution and range map with
+# unit set {0..u-1}, products completed by ``_complete_products`` and
+# deduplicated by canonical form; a structure with another unit set of size
+# u is a relabelled copy of one of these, hence the weight comb(n, u).  The
+# census builds one table per multiset of components instead.
+
+
+def _involutions(n: int):
+    """All self-inverse maps on n points, in lexicographic order."""
+    cur = [None] * n
+
+    def rec(x):
+        if x == n:
+            yield tuple(cur)
+            return
+        if cur[x] is not None:
+            yield from rec(x + 1)
+            return
+        cur[x] = x
+        yield from rec(x + 1)
+        cur[x] = None
+        for y in range(x + 1, n):
+            if cur[y] is None:
+                cur[x], cur[y] = y, x
+                yield from rec(x + 1)
+                cur[x] = cur[y] = None
+
+    yield from rec(0)
+
+
+def _skeletons(n: int):
+    """(weight, iota, rng) with unit set {0..u-1}: both fix the units, iota
+    is any involution on the rest and rng sends the rest into the units."""
+    for u in range(1, n + 1):
+        units = tuple(range(u))
+        for tail in _involutions(n - u):
+            iota = units + tuple(u + t for t in tail)
+            for choice in itertools.product(units, repeat=n - u):
+                yield math.comb(n, u), iota, units + choice
+
+
+def oracle_backtrack_census(order):
+    seen = set()
+    total = 0
+    for weight, iota, rng in _skeletons(order):
+        for table in _complete_products(order, iota, rng):
+            seen.add(canonical_form(make_groupoid(order, table, iota)))
+            total += weight
+    reps = tuple(groupoid_from_canonical(key, order, f"census-{order}-{i}")
+                 for i, key in enumerate(sorted(seen)))
+    return Census(order=order, representatives=reps, total_found=total)
+
+
+def test_census_matches_backtracking_oracle(census7):
+    totals = {1: 1, 2: 3, 3: 10, 4: 65, 5: 341, 6: 2761, 7: 20448}
+    for order, total in totals.items():
+        census = census7 if order == 7 else enumerate_groupoids(order)
+        oracle = oracle_backtrack_census(order)
+        assert census.total_found == oracle.total_found == total, order
+        assert ([(g.name, g.product, g.inverse) for g in census.representatives]
+                == [(g.name, g.product, g.inverse) for g in oracle.representatives]), order
+
+
+def test_groups_match_the_unrestricted_one_unit_search():
+    for m, count in enumerate([1, 1, 1, 2, 1, 2, 1], start=1):
+        groups = _groups(m)
+        assert len(groups) == count, m
+        keys = {canonical_form(make_groupoid(m, table, iota))
+                for iota in _involutions(m) if iota[0] == 0
+                for table in _complete_products(m, iota, (0,) * m)}
+        assert [canonical_form(h) for h in groups] == sorted(keys), m
+
+
 # oracle 3: the unrestricted search.  Every involution, every unit set
 # inside its fixed points and every range map into that unit set, each
 # labelled structure built once.  The census builds only unit sets
@@ -513,6 +587,25 @@ def test_probe_order_3():
     report = principal_converse_search(3)
     assert report.forward_holds and not report.candidates
     assert len(report.rows) == 1 + 2 + 3
+
+
+def oracle_intersection_size(g):
+    """Enumerate side S and count the members that also lie on side S'."""
+    maps = monoid_maps_array(g, "S")
+    flags = _Kernel(g).member_rows(maps, "S'")
+    size = int(flags.sum())
+    only_j = size == 1 and tuple(int(v) for v in maps[int(np.argmax(flags))]) == tuple(g.inverse)
+    return size, only_j
+
+
+def test_intersection_closed_form_matches_enumeration(census7):
+    pool = [g for _, g in corpus.standard_corpus() if g.size <= 9]
+    for order in range(1, 7):
+        pool += list(enumerate_groupoids(order).representatives)
+    pool += list(census7.representatives)
+    assert len(pool) == 70
+    for g in pool:
+        assert intersection_size(g) == oracle_intersection_size(g), g.name
 
 
 def test_intersection_size_function(c2, pair2):

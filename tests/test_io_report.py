@@ -185,6 +185,14 @@ def test_p311_units_come_from_the_table(c2, monkeypatch):
     assert verdict.as_dict() == {"pass": False, "witness": ["S", "units", 3]}
 
 
+def test_closing_fails_when_the_intersection_misses_a_member(c2):
+    # C2 is not principal, so only the closed form |S n S'| = 4 catches it
+    ctx = _Ctx(c2, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    assert gpd.report._check_closing(ctx).passed
+    ctx.inter = dataclasses.replace(ctx.inter, indices=ctx.inter.indices[:-1])
+    assert gpd.report._check_closing(ctx) == Verdict(False, ("enumerated", 3, "closed form", 4))
+
+
 def _corrupt(t, i, j):
     """The table with cell (i, j) moved to the next member index."""
     op = t.op.copy()
