@@ -341,8 +341,8 @@ def enumerate_monoid(
     sg_flags = ker.member_rows(maps, "S")
     spg_flags = ker.member_rows(maps, "S'")
     elements = tuple(
-        GFun(g, tuple(int(v) for v in maps[i]), bool(sg_flags[i]), bool(spg_flags[i]))
-        for i in range(total)
+        GFun(g, tuple(row), in_s, in_sp)
+        for row, in_s, in_sp in zip(maps.tolist(), sg_flags.tolist(), spg_flags.tolist())
     )
 
     _, _, assoc_ok, witness, cols = _certificate(ker, maps, side)

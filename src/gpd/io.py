@@ -12,13 +12,18 @@ Census manifest:   {"order": n, "count": k, "names": [...]}
 Probe row:         {"order", "name", "principal", "intersection_size",
                     "candidate"}
 
-All dumps are canonical (sorted keys, two-space indent, trailing newline),
-so identical inputs produce byte-identical files.
+All dumps are canonical: exactly
+``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` in UTF-8, so identical
+inputs give identical files.  ``dump_bytes`` writes these bytes through the
+standard library's C encoder, one call per list of scalars.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .census import Census, ProbeReport
@@ -28,8 +33,41 @@ from .groupoid import GroupAction, Groupoid, GroupoidSpec, build_groupoid, make_
 from .operators import LinOp
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_encode_scalar = json.JSONEncoder().encode
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(pad: str):
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _write(obj: Any, pad: str, out: list):
+    """Append ``json.dumps(obj, indent=2, sort_keys=True)``, indented by ``pad``, to ``out``."""
+    kind, inner = type(obj), pad + "  "
+    if kind in _SCALARS:
+        out.append(_encode_scalar(obj))
+    elif kind in (list, tuple) and obj and _SCALARS.issuperset(map(type, obj)):  # one C call
+        out += ("[\n", inner, _flat_encoder(inner)(obj)[1:-1], "\n", pad, "]")
+    elif kind in (list, tuple) and obj:
+        for n, value in enumerate(obj):
+            out += (",\n" if n else "[\n", inner)
+            _write(value, inner, out)
+        out += ("\n", pad, "]")
+    elif kind is dict and obj and {str}.issuperset(map(type, obj)):
+        for n, key in enumerate(sorted(obj)):
+            out += (",\n" if n else "{\n", inner, encode_basestring_ascii(key), ": ")
+            _write(obj[key], inner, out)
+        out += ("\n", pad, "}")
+    else:  # empty containers, non-str keys, subclasses, unserializable values
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
 def dump_bytes(obj: Any) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    out: list = []
+    _write(obj, "", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def write_json(path, obj: Any):
@@ -170,14 +208,5 @@ def probe_to_dict(report: ProbeReport) -> dict:
         "max_order": report.max_order,
         "forward_holds": report.forward_holds,
         "candidates": list(report.candidates),
-        "rows": [
-            {
-                "order": row.order,
-                "name": row.name,
-                "principal": row.principal,
-                "intersection_size": row.intersection_size,
-                "candidate": row.candidate,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
     }

@@ -154,6 +154,18 @@ def test_rep_export(tmp_path):
         assert all(sum(row) == 1 for row in entry["matrix"])
 
 
+@pytest.mark.parametrize("args", [["monoid", "--side", "S"], ["monoid", "--side", "S'"],
+                                  ["rep", "--side", "S"], ["rep", "--side", "S'"],
+                                  ["verify"]])
+def test_exports_are_stdlib_canonical_bytes(tmp_path, args):
+    path = tmp_path / "c4.json"
+    io.save_groupoid(path, corpus.cyclic(4))
+    out = tmp_path / "out.json"
+    assert run([args[0], path, *args[1:], "-o", out]) == 0
+    data = out.read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_search_order2(tmp_path, capsys):
     out = tmp_path / "probe.json"
     assert run(["search", "--order", 2, "-o", out]) == 0

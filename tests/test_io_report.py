@@ -2,7 +2,10 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpd import corpus, io
 from gpd.census import enumerate_groupoids, principal_converse_search
@@ -19,7 +22,8 @@ from gpd.endo import (
     star_prime,
 )
 from gpd.errors import ShapeError
-from gpd.operators import Verdict, left_operator
+from gpd.groupoid import disjoint_union
+from gpd.operators import Verdict, left_operator, right_operator
 import gpd.endo
 import gpd.groupoid
 import gpd.report
@@ -111,6 +115,77 @@ def test_probe_dict():
     assert obj["candidates"] == []
     row = obj["rows"][0]
     assert set(row) == {"order", "name", "principal", "intersection_size", "candidate"}
+
+
+# ---------------------------------------------------------------------------
+# canonical bytes: dump_bytes against the stdlib one-liner
+
+
+def stdlib_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def rep_payload(g, side):
+    build = left_operator if side == "S" else right_operator
+    t = enumerate_monoid(g, side)
+    return {"groupoid": g.name, "side": side,
+            "operators": [io.linop_to_dict(f, build(f)) for f in t.elements]}
+
+
+def real_payloads():
+    c3 = corpus.cyclic(3)
+    for g in (corpus.cyclic(4), corpus.klein_four()):
+        yield io.groupoid_to_dict(g)
+        for side in SIDES:
+            yield io.monoid_to_dict(enumerate_monoid(g, side))
+            yield rep_payload(g, side)
+    yield full_report(disjoint_union(c3, c3)).to_dict()
+    for order in range(1, 6):
+        yield io.census_to_dict(enumerate_groupoids(order))
+    yield io.probe_to_dict(principal_converse_search(5))
+
+
+def test_dump_bytes_matches_stdlib_on_real_payloads():
+    for obj in real_payloads():
+        assert io.dump_bytes(obj) == stdlib_bytes(obj)
+
+
+EDGE_CASES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], (), (1, 2), [(), (3,)],
+    [1, True, None], [False, 0, 0.0], 2**70, [2**70, -(2**70)],
+    float("nan"), float("inf"), -float("inf"), -0.0, [float("nan"), -0.0, 1e300],
+    'say "hi"', "back\\slash", "line\nbreak", "\u00e9t\u00e9 \u2603 \U0001f600 \x00",
+    {"q\"": 1, "\n": 2, "\u00e9": 3, "b": [1, "x\ty"]},
+    {1: "a", 2: ["b"]}, {True: 1, False: [2]}, {None: {"z": 1, "a": 2}},
+    {"nested": {1: [2, {3: 4}]}}, [{"k": [1, [2, [3]]]}, "s", None],
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_CASES, ids=range(len(EDGE_CASES)))
+def test_dump_bytes_matches_stdlib_on_edge_cases(obj):
+    assert io.dump_bytes(obj) == stdlib_bytes(obj)
+
+
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=JSON_LIKE)
+def test_dump_bytes_matches_stdlib_on_random_values(obj):
+    assert io.dump_bytes(obj) == stdlib_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [[1, np.int64(3)], {"a": {1, 2}}, {1, 2}])
+def test_dump_bytes_still_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        io.dump_bytes(obj)
 
 
 # ---------------------------------------------------------------------------
