@@ -10,6 +10,7 @@ failure (I/O, malformed input, exceeded caps, usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -190,6 +191,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gpd", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

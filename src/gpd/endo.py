@@ -12,8 +12,9 @@ arrays, so element indices are deterministic.  Associativity is certified,
 never sampled, by Lemma 3.7: the product is closed, distinct members have
 distinct translations, and each translation law holds at every
 (x, f(x), g), which covers all |S|^3 triples exactly.  It is the one
-vectorized (numpy) product evaluation: Cayley tables and the identity laws
-are read off its columns.  The scalar ``star``/``star_prime`` functions are
+vectorized (numpy) product evaluation, one row per (x, f(x)) over the
+values of g at one position: Cayley tables and the identity laws are read
+off its rows.  The scalar ``star``/``star_prime`` functions are
 the semantic reference the vector paths are tested against.
 """
 
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BaseMismatch, CapExceeded, MembershipError, ShapeError
-from .groupoid import Groupoid, UNDEFINED
+from .groupoid import Groupoid
 
 DEFAULT_MONOID_CAP = 1_000_000
 DEFAULT_PRODUCT_CAP = 100_000_000
@@ -188,6 +189,14 @@ def predicted_size(g: Groupoid, side: str = "S") -> int:
     return math.prod(len(c) for c in _position_fibers(g, side))
 
 
+def _checked_size(g: Groupoid, side: str, cap: int) -> int:
+    """``predicted_size``, raising CapExceeded above ``cap`` before any work."""
+    pred = predicted_size(g, side)
+    if pred > cap:
+        raise CapExceeded(f"predicted monoid size {pred} exceeds cap {cap}", predicted=pred)
+    return pred
+
+
 def iter_monoid_maps(g: Groupoid, side: str = "S") -> Iterator[tuple[int, ...]]:
     """All member maps in lexicographic order of their arrays."""
     return itertools.product(*_position_fibers(g, side))
@@ -197,9 +206,7 @@ def monoid_maps_array(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CA
     """The member maps as rows, in ``iter_monoid_maps`` order: column x
     steps through x's fiber every stride_x rows, stride_x being the
     product of the later fiber sizes."""
-    pred = predicted_size(g, side)
-    if pred > cap:
-        raise CapExceeded(f"predicted monoid size {pred} exceeds cap {cap}", predicted=pred)
+    pred = _checked_size(g, side, cap)
     rank = np.arange(pred)
     arr = np.empty((pred, g.size), dtype=np.int32)
     stride = pred
@@ -322,13 +329,12 @@ def enumerate_monoid(
     Raises CapExceeded before doing any work if the predicted element count
     exceeds ``cap`` or the table would need more than ``product_cap``
     products.  The translation certificate proves closure and associativity
-    first; the table is then summed from its product columns, since member
-    indices are mixed-radix numbers of fiber positions:
+    first; the table is then summed from its rows, each expanded over all
+    members by one gather (``_product_columns``), since member indices are
+    mixed-radix numbers of fiber positions:
     op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]].
     """
-    pred = predicted_size(g, side)
-    if pred > cap:
-        raise CapExceeded(f"predicted monoid size {pred} exceeds cap {cap}", predicted=pred)
+    pred = _checked_size(g, side, cap)
     if pred * pred > product_cap:
         raise CapExceeded(
             f"Cayley table needs {pred * pred} products, cap {product_cap}",
@@ -345,12 +351,12 @@ def enumerate_monoid(
         for row, in_s, in_sp in zip(maps.tolist(), sg_flags.tolist(), spg_flags.tolist())
     )
 
-    _, _, assoc_ok, witness, cols = _certificate(ker, maps, side)
+    _, _, assoc_ok, witness, rows = _certificate(ker, side)
     if not assoc_ok:
         raise MembershipError(f"translation certificate fails at {witness}")
     pos, strides = _radix(g, side)
     op = np.zeros((total, total), dtype=np.int32)
-    for x, col in enumerate(cols):  # axis 1 of each view below is digit_x(i)
+    for x, col in enumerate(_product_columns(rows, strides, total)):  # axis 1 below is digit_x(i)
         if len(col) > 1:  # a one-value fiber only adds position 0
             op.reshape(-1, len(col), strides[x], total)[...] += (pos[x, col] * strides[x])[:, None]
     identity = int(_rank(pos, strides, np.array([g.range_map if side == "S" else g.domain_map]))[0])
@@ -385,7 +391,7 @@ class LawScan:
     witness: tuple | None
 
 
-def _certificate(ker: _Kernel, maps: np.ndarray, side: str):
+def _certificate(ker: _Kernel, side: str):
     """Closure and associativity of one side by the L3.7 translation certificate.
 
     On side S the left translation L_f(x) = f(x) x satisfies
@@ -396,84 +402,95 @@ def _certificate(ker: _Kernel, maps: np.ndarray, side: str):
     composition, so it is associative on all |S|^3 triples.
 
     Each pairwise condition at position x depends on f only through
-    v = f(x).  On side S, with c = P[v, x], the product value is
-    P[g[c], v] and the law reads P[(f*g)(x), x] = P[g[c], c]; on side S',
-    with c = P[x, v], it is P[v, k[c]] and the law reads
-    P[x, (h?k)(x)] = P[c, k[c]].  Scanning every (x, v, g) with v over the
-    fiber of x therefore covers every (f, g, x) exactly; nothing is sampled.
+    v = f(x) and on g only through w = g(c), c = P[v, x]: the product value
+    is P[w, v] and the law reads P[(f*g)(x), x] = P[w, c].  Side S' is side
+    S of the opposite groupoid, product Q[a, b] = P[b, a] with d and r
+    swapped.  Members are the full product of the position fibers, so
+    scanning every (x, v, w), v over the fiber of x and w over that of c,
+    evaluates each distinct condition once (sum_x k_x k_c of them) and
+    covers every (f, g, x) exactly, sum_x k_x |S| of them
+    (``closure_conditions``); nothing is sampled.  For the same reason
+    distinct members have distinct translations iff v -> c is injective on
+    every fiber.
 
-    The scan keeps its product columns: row p of cols[x], shape (k_x, |S|),
-    holds (f * g_j)(x) for every member j and any f taking x to the p-th
-    value of x's sorted fiber (UNDEFINED where undefined): the Cayley table
-    in factored form.  The scan runs on past a closure failure to fill them.
+    rows[x][p] = (c, res) for v the p-th value of x's sorted fiber:
+    res[q] = (f * g)(x) for every f with f(x) = v and every g with g(c) the
+    q-th value of c's fiber (UNDEFINED where undefined; res is None where c
+    is).  The scan runs on past a closure failure to fill them.
 
-    Returns (closure_ok, closure_conditions, assoc_ok, witness, cols).  The
-    witness names the failed premise: ("closure", x, v, g),
-    ("translation law", x, v, g) with g a member index, or
-    ("injectivity", i, j) for two members with equal translations.
+    Returns (closure_ok, closure_conditions, assoc_ok, witness, rows).  The
+    witness names the failed premise: ("closure", x, v, g) or
+    ("translation law", x, v, g), g the first member index taking c to a
+    failing w (q * strides[c] for w the q-th value), or ("injectivity", i, j)
+    for two members with equal translations, differing at one position only.
     """
-    n, P = ker.n, ker.Pflat
-    conditions, closure, law_witness, cols = 0, None, None, []
-    for x, fiber in enumerate(_position_fibers(ker.g, side)):
-        cols.append(np.full((len(fiber), len(maps)), UNDEFINED, dtype=np.int32))
-        for p, v in enumerate(fiber):
-            c = int(ker.P[v, x] if side == "S" else ker.P[x, v])
-            conditions += len(maps)
+    n, (Q, d, r) = ker.n, ((ker.P, ker.dm, ker.rm) if side == "S" else (ker.P.T, ker.rm, ker.dm))
+    Qf = np.ascontiguousarray(Q).ravel()
+    fibers = [np.asarray(fib, dtype=np.int32) for fib in _position_fibers(ker.g, side)]
+    strides = _radix(ker.g, side)[1].tolist()
+    size = math.prod(map(len, fibers))
+    conditions, closure, law_witness, rows = 0, None, None, []
+    for x, fiber in enumerate(fibers):
+        rows.append([])
+        for v in fiber.tolist():
+            c = int(Q[v, x])
+            conditions += size
             if c < 0:  # no product is defined at x
                 closure = closure or (conditions, ("closure", x, v, 0))
+                rows[x].append((c, None))
                 continue
-            gc = maps[:, c]
-            if side == "S":
-                res = cols[x][p] = P[gc * n + v]
-                good = (res >= 0) & (ker.dm[np.maximum(res, 0)] == ker.rm[x])
-            else:
-                res = cols[x][p] = P[v * n + gc]
-                good = (res >= 0) & (ker.rm[np.maximum(res, 0)] == ker.dm[x])
+            w = fibers[c]
+            res = Qf[w * n + v]
+            rows[x].append((c, res))
+            good = (res >= 0) & (d[np.maximum(res, 0)] == r[x])
             if not good.all():
-                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good))))
-            if law_witness is None:
-                if side == "S":
-                    bad = P[res * n + x] != P[gc * n + c]
-                else:
-                    bad = P[x * n + res] != P[c * n + gc]
-                if bad.any():
-                    law_witness = ("translation law", x, v, int(np.argmax(bad)))
+                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good)) * strides[c]))
+            bad = Qf[res * n + x] != Qf[w * n + c]
+            if law_witness is None and bad.any():
+                law_witness = ("translation law", x, v, int(np.argmax(bad)) * strides[c])
     if closure is not None:
-        return False, closure[0], False, closure[1], cols
-    rows = ker.translation_rows(maps, side)
-    order = np.lexsort(rows.T[::-1])
-    same = np.flatnonzero((rows[order[1:]] == rows[order[:-1]]).all(axis=1))
-    if law_witness is None and len(same):
-        law_witness = ("injectivity", *sorted(int(order[k]) for k in (same[0], same[0] + 1)))
-    return True, conditions, law_witness is None, law_witness, cols
+        return False, closure[0], False, closure[1], rows
+    for x, row in enumerate(rows if law_witness is None else ()):
+        cs = [c for c, _ in row]
+        dup = next((p for p, c in enumerate(cs) if c in cs[:p]), None)
+        if dup is not None:
+            law_witness = ("injectivity", cs.index(cs[dup]) * strides[x], dup * strides[x])
+            break
+    return True, conditions, law_witness is None, law_witness, rows
+
+
+def _product_columns(rows, strides: np.ndarray, size: int) -> list[np.ndarray]:
+    """The certificate's rows over all members: cols[x], shape (k_x, |S|),
+    holds (f * g_j)(x) in row p for every member j and any f taking x to the
+    p-th value of x's fiber, since g_j(c) is at digit (j // strides[c]) % k_c."""
+    rank = np.arange(size)
+    return [np.stack([res[rank // strides[c] % len(res)] for c, res in row]) for row in rows]
 
 
 def law_scan(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> LawScan:
-    """Verify the monoid laws of one side without storing a Cayley table.
+    """Verify the monoid laws of one side without a Cayley table or member array.
 
     The translation certificate (L3.7) proves closure and associativity on
-    every pair and triple; the identity laws are read off its product
-    columns for every member: e * g at row e(x) of cols[x], f * e at column e.
+    every pair and triple from sum_x k_x k_c evaluated conditions.  The
+    identity laws are read off its rows: e * g at position x is the row at
+    e's digit, which must give g(x) for every g, and f * e is each row's
+    entry at e's digit of c, which must be f(x).
     """
-    maps = monoid_maps_array(g, side, cap)
-    ker = _Kernel(g)
-    closure_ok, conditions, assoc_ok, witness, cols = _certificate(ker, maps, side)
-    pos, strides = _radix(g, side)
-    digits = pos[ker.xs, g.range_map if side == "S" else g.domain_map]
-    e = int(digits @ strides)
-    identity_ok = (digits >= 0).all() and all(
-        np.array_equal(col[d], maps[:, x]) and np.array_equal(col[:, e], fiber)
-        for x, (col, d, fiber) in enumerate(zip(cols, digits, _position_fibers(g, side)))
-    )
-    return LawScan(
-        side=side,
-        size=len(maps),
-        identity_ok=bool(identity_ok),
-        closure_ok=closure_ok,
-        closure_conditions=conditions,
-        assoc_ok=assoc_ok,
-        assoc_mode="certificate",
-        assoc_triples=len(maps) ** 3,
-        witness=witness,
-    )
+    size = _checked_size(g, side, cap)
+    closure_ok, conditions, assoc_ok, witness, rows = _certificate(_Kernel(g), side)
+    pos, _ = _radix(g, side)
+    digits = pos[np.arange(g.size), g.range_map if side == "S" else g.domain_map]
 
+    def identity_holds(x, row, fiber):
+        c, res = row[digits[x]]  # (e * g)(x) = res[digit_c(g)] must be g(x) for every g
+        if res is None or not (np.array_equal(res, fiber) if c == x  # digit_c(g) = digit_x(g)
+                               else (res[:, None] == fiber).all()):  # independent digits
+            return False
+        # (f * e)(x) = res[digit_c(e)] must be f(x) = v
+        return all(r is not None and r[digits[b]] == v for (b, r), v in zip(row, fiber))
+
+    identity_ok = (digits >= 0).all() and all(
+        identity_holds(x, row, fiber) for x, (row, fiber) in enumerate(zip(rows, _position_fibers(g, side))))
+    return LawScan(side=side, size=size, identity_ok=bool(identity_ok), closure_ok=closure_ok,
+                   closure_conditions=conditions, assoc_ok=assoc_ok, assoc_mode="certificate",
+                   assoc_triples=size ** 3, witness=witness)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import gpd.report
-from gpd import census, corpus, io
+from gpd import census, cli, corpus, io
 from gpd.cli import main
 
 
@@ -215,6 +215,30 @@ def test_search_cap(capsys):
 
 def test_usage_error():
     assert run(["frobnicate"]) == 2
+
+
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys):
+    # The parser is built once per process.  A run after usage errors must
+    # give the exit code, streams and file bytes of a freshly built parser.
+    path, out = write_c2(tmp_path), tmp_path / "out.json"
+    cases = [["verify", path, "--props", ","], ["frobnicate"],
+             ["verify", path, "-o", out], ["monoid", path, "-o", out]]
+
+    def outcome(args):
+        rc, streams = run(args), capsys.readouterr()
+        data = out.read_bytes() if out.exists() else b""
+        out.unlink(missing_ok=True)
+        return rc, streams.out, streams.err, data
+
+    fresh = []
+    for args in cases:
+        cli._parser.cache_clear()
+        fresh.append(outcome(args))
+    cli._parser.cache_clear()
+    assert [outcome(args) for args in cases] == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [rc for rc, *_ in fresh] == [2, 2, 0, 0]
+    assert all(data for *_, data in fresh[2:])
 
 
 def test_outputs_deterministic(tmp_path):

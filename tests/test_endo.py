@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import corpus
+from gpd import corpus, endo
 from gpd.endo import (
     LawScan,
     _Kernel,
+    _certificate,
+    _product_columns,
+    _radix,
     canonical_elements,
     enumerate_monoid,
     gfun,
@@ -326,6 +329,95 @@ def closure_scan_dense(g, side="S", cap=66_000):
     return True
 
 
+def certificate_dense(g, side):
+    """The L3.7 certificate evaluated once per member: sum_x k_x |S| gathers
+    over the member array, then a sort of the |S| translation rows for
+    injectivity.  An oracle for the factored ``endo._certificate``, with the
+    same return shape except ``cols``: cols[x], shape (k_x, |S|), holds
+    (f * g_j)(x) in row p for every member j and any f taking x to the p-th
+    value of x's fiber (UNDEFINED where the translation is undefined)."""
+    maps = monoid_maps_array(g, side)
+    ker = _Kernel(g)
+    n, P = ker.n, ker.Pflat
+    conditions, closure, law_witness, cols = 0, None, None, []
+    for x, fiber in enumerate(endo._position_fibers(g, side)):
+        cols.append(np.full((len(fiber), len(maps)), UNDEFINED, dtype=np.int32))
+        for p, v in enumerate(fiber):
+            c = int(ker.P[v, x] if side == "S" else ker.P[x, v])
+            conditions += len(maps)
+            if c < 0:
+                closure = closure or (conditions, ("closure", x, v, 0))
+                continue
+            gc = maps[:, c]
+            if side == "S":
+                res = cols[x][p] = P[gc * n + v]
+                good = (res >= 0) & (ker.dm[np.maximum(res, 0)] == ker.rm[x])
+                bad = P[res * n + x] != P[gc * n + c]
+            else:
+                res = cols[x][p] = P[v * n + gc]
+                good = (res >= 0) & (ker.rm[np.maximum(res, 0)] == ker.dm[x])
+                bad = P[x * n + res] != P[c * n + gc]
+            if not good.all():
+                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good))))
+            if law_witness is None and bad.any():
+                law_witness = ("translation law", x, v, int(np.argmax(bad)))
+    if closure is not None:
+        return False, closure[0], False, closure[1], cols
+    rows = ker.translation_rows(maps, side)
+    order = np.lexsort(rows.T[::-1])
+    same = np.flatnonzero((rows[order[1:]] == rows[order[:-1]]).all(axis=1))
+    if law_witness is None and len(same):
+        law_witness = ("injectivity", *sorted(int(order[k]) for k in (same[0], same[0] + 1)))
+    return True, conditions, law_witness is None, law_witness, cols
+
+
+def test_factored_certificate_matches_dense_oracle(c2, c3, pair2, small_corpus):
+    cases = [((g.name, cell), m) for g in (c2, c3, pair2) for cell, m in _mutants(g)]
+    expanded = 0
+    for case, g in cases + small_corpus:
+        for side in ("S", "S'"):
+            got = _certificate(_Kernel(g), side)
+            want = certificate_dense(g, side)
+            assert got[:3] == want[:3], (case, side)
+            if want[3] is not None and want[3][0] == "injectivity":
+                # the factored witness is another colliding pair
+                premise, i, j = got[3]
+                trans = _Kernel(g).translation_rows(monoid_maps_array(g, side)[[i, j]], side)
+                assert premise == "injectivity" and i != j and (trans[0] == trans[1]).all()
+            else:
+                assert got[3] == want[3], (case, side)
+            rows = got[4]
+            if all(res is not None for row in rows for _, res in row):
+                cols = _product_columns(rows, _radix(g, side)[1], predicted_size(g, side))
+                assert len(cols) == len(want[4]), (case, side)
+                assert all(np.array_equal(a, b) for a, b in zip(cols, want[4])), (case, side)
+                expanded += 1
+    assert expanded > 2 * len(small_corpus)
+
+
+def _count_calls(monkeypatch, owner, attr):
+    """Record the arguments of every call to ``owner.attr``."""
+    calls, fn = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_law_scan_builds_no_member_array(pair3, monkeypatch):
+    arrays = _count_calls(monkeypatch, endo, "monoid_maps_array")
+    translations = _count_calls(monkeypatch, _Kernel, "translation_rows")
+    for side in ("S", "S'"):
+        assert law_scan(pair3, side).assoc_ok
+    assert arrays == [] and translations == []
+    with pytest.raises(CapExceeded) as err:
+        law_scan(pair3, cap=19682)
+    assert err.value.predicted == 19683
+
+
 def test_law_scan_small_and_dense_crosscheck(small_corpus):
     for name, g in small_corpus:
         for side in ("S", "S'"):
@@ -488,6 +580,22 @@ def test_identity_scan_sees_undefined_products(c2):
         assert law_scan(m, side).identity_ok is False
 
 
+def test_identity_scan_on_every_two_element_table(c2):
+    # Every product table on two elements, under the range and domain maps
+    # of units(2) and of C2.  e * g can hold at x although x's row at e's
+    # digit has c != x: on units(2), where each fiber has one value, with
+    # 0 * 0 = 1 and 1 * 0 = 0; with two values per fiber, never.
+    holds = set()
+    for g in (corpus.unit_groupoid(2), c2):
+        for cells in itertools.product(range(-1, 2), repeat=4):
+            m = dataclasses.replace(g, product=(cells[:2], cells[2:]))
+            for side in ("S", "S'"):
+                ok = _oracle_identity_ok(m, side)
+                assert law_scan(m, side).identity_ok == ok, (g.name, cells, side)
+                holds.add((g.name, m.product[0][0], ok))
+    assert ("units(2)", 1, True) in holds
+
+
 def test_certificate_is_one_way(c2):
     # The certificate is sufficient, not necessary.  On a valid groupoid the
     # translation x -> f(x) x determines f(x) by cancellation, so distinct
@@ -500,8 +608,8 @@ def test_certificate_is_one_way(c2):
         maps = list(iter_monoid_maps(m, side))
         scan = law_scan(m, side)
         assert scan.closure_ok and not scan.assoc_ok
-        premise, i, j = scan.witness
-        assert premise == "injectivity" and i != j
+        assert scan.witness == ("injectivity", 0, 1)
+        _, i, j = scan.witness
         assert trans(gfun(m, maps[i])) == trans(gfun(m, maps[j]))
         assert oracle_associative(oracle_table(m, side))
     with pytest.raises(MembershipError, match="injectivity"):
