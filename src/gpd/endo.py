@@ -8,7 +8,8 @@ f -> f~, f~(x) = (f(x^-1))^-1, swaps the two sides and converts one product
 into the other.
 
 Enumeration walks the per-position fibers in lexicographic order of the map
-arrays, so element indices are deterministic.  Associativity is certified,
+arrays, so element indices are deterministic; a member is a row of the
+table's ``maps``, numbered by ``MonoidTable.rank``.  Associativity is certified,
 never sampled, by Lemma 3.7: the product is closed, distinct members have
 distinct translations, and each translation law holds at every
 (x, f(x), g), which covers all |S|^3 triples exactly.  It is the one
@@ -235,11 +236,6 @@ class _Kernel:
             return self.Pflat[maps * self.n + self.xs]
         return self.Pflat[self.xs * self.n + maps]
 
-    def member_rows(self, M: np.ndarray, side: str) -> np.ndarray:
-        if side == "S":
-            return (self.dm[M] == self.rm[None, :]).all(axis=1)
-        return (self.rm[M] == self.dm[None, :]).all(axis=1)
-
 
 def _radix(g: Groupoid, side: str) -> tuple[np.ndarray, np.ndarray]:
     """pos[x, y] = y's place in x's sorted fiber (-1 off it), and the strides
@@ -257,19 +253,18 @@ def _radix(g: Groupoid, side: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank(pos: np.ndarray, strides: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Member indices of a (T, n) stack of maps under ``_radix``'s numbering."""
+    """Member indices of a (T, n) stack of maps under ``_radix``'s numbering,
+    -1 for a row that leaves its fiber at some position."""
     p = pos[np.arange(len(strides))[None, :], rows]
-    if (p < 0).any():
-        bad = np.argwhere(p < 0)[0]
-        raise MembershipError(f"row {bad[0]} leaves its fiber at position {bad[1]}")
-    return (p * strides[None, :]).sum(axis=1)
+    return np.where((p < 0).any(axis=1), -1, (p * strides[None, :]).sum(axis=1))
 
 
 @dataclass(frozen=True, eq=False)
 class MonoidTable:
-    """A fully enumerated monoid: elements, index Cayley table, identity,
-    ``trans``, the (|S|, n) array of each member's translation (left on S,
-    right on S'), and ``maps``, the (|S|, n) array of the member maps.
+    """A fully enumerated monoid as arrays: member i is row i of ``maps``,
+    the (|S|, n) member maps in ``iter_monoid_maps`` order, which ``rank``
+    numbers; ``op`` is the index Cayley table, ``identity`` an index, and
+    ``trans`` holds each member's translation (left on S, right on S').
 
     Construction verifies totality, both identity laws, and associativity
     (by the translation certificate) before the table is handed out.  Facts
@@ -278,15 +273,14 @@ class MonoidTable:
 
     groupoid: Groupoid
     side: str
-    elements: tuple[GFun, ...]
     op: np.ndarray
     identity: int
     trans: np.ndarray
     maps: np.ndarray
 
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {f.map: i for i, f in enumerate(self.elements)}
+    def rank(self, rows) -> np.ndarray:
+        """The member index of each row of a (T, n) stack of maps, -1 off this side."""
+        return _rank(*_radix(self.groupoid, self.side), np.asarray(rows))
 
     @cached_property
     def law_witness(self) -> tuple[int, int] | None:
@@ -297,7 +291,7 @@ class MonoidTable:
         return len(np.unique(self.trans, axis=0))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.maps)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.op[i, j])
@@ -343,14 +337,6 @@ def enumerate_monoid(
     maps = monoid_maps_array(g, side, cap)
     ker = _Kernel(g)
     total = len(maps)
-
-    sg_flags = ker.member_rows(maps, "S")
-    spg_flags = ker.member_rows(maps, "S'")
-    elements = tuple(
-        GFun(g, tuple(row), in_s, in_sp)
-        for row, in_s, in_sp in zip(maps.tolist(), sg_flags.tolist(), spg_flags.tolist())
-    )
-
     _, _, assoc_ok, witness, rows = _certificate(ker, side)
     if not assoc_ok:
         raise MembershipError(f"translation certificate fails at {witness}")
@@ -361,17 +347,19 @@ def enumerate_monoid(
             op.reshape(-1, len(col), strides[x], total)[...] += (pos[x, col] * strides[x])[:, None]
     identity = int(_rank(pos, strides, np.array([g.range_map if side == "S" else g.domain_map]))[0])
     idx = np.arange(total)
-    if not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
+    if identity < 0 or not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
         raise MembershipError("identity law fails in the Cayley table")
-    return MonoidTable(groupoid=g, side=side, elements=elements, op=op, identity=identity,
+    return MonoidTable(groupoid=g, side=side, op=op, identity=identity,
                        trans=ker.translation_rows(maps, side), maps=maps)
 
 
 def involution_indices(ts: MonoidTable, tsp: MonoidTable) -> np.ndarray:
     """sigma[i] = index in ``tsp`` of the involution image of member i of ``ts``."""
-    g = ts.groupoid
-    inv = np.asarray(g.inverse, dtype=np.int32)
-    return _rank(*_radix(g, tsp.side), inv[ts.maps[:, inv]])
+    inv = np.asarray(ts.groupoid.inverse, dtype=np.int32)
+    sigma = tsp.rank(inv[ts.maps[:, inv]])
+    if (sigma < 0).any():
+        raise MembershipError(f"member {int(np.argmin(sigma))}'s involution image is not in {tsp.side}")
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import dataclasses
 import functools
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Sequence
 
 from .census import Census, ProbeReport
 from .endo import GFun, MonoidTable, gfun
@@ -174,14 +174,14 @@ def gfun_from_dict(obj: Any, base: Groupoid | None = None) -> GFun:
 def monoid_to_dict(t: MonoidTable) -> dict:
     return {
         "side": t.side,
-        "elements": [list(f.map) for f in t.elements],
+        "elements": t.maps.tolist(),
         "identity": t.identity,
         "op": t.op.tolist(),
     }
 
 
-def linop_to_dict(f: GFun, op: LinOp) -> dict:
-    return {"fn": list(f.map), "matrix": [list(row) for row in op.matrix]}
+def linop_to_dict(fn: Sequence[int], op: LinOp) -> dict:
+    return {"fn": list(fn), "matrix": [list(row) for row in op.matrix]}
 
 
 # ---------------------------------------------------------------------------

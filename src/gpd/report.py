@@ -44,6 +44,7 @@ from .endo import (
     DEFAULT_PRODUCT_CAP,
     SIDES,
     enumerate_monoid,
+    gfun,
     involution_indices,
     star,
     star_prime,
@@ -269,9 +270,10 @@ def _check_p337(ctx: _Ctx) -> Verdict:
 def _check_p338(ctx: _Ctx) -> Verdict:
     ts, anti = ctx.sides[0].table, ctx.antihoms.antihom_flags
     for i in ctx.inter.indices:
-        f = ts.elements[i]
-        if anti[i] and star(f, f).map != star_prime(f, f).map:
-            return Verdict(False, (i,))
+        if anti[i]:  # the scalar replay, on the antihomomorphisms only
+            f = gfun(ctx.g, ts.maps[i].tolist())
+            if star(f, f).map != star_prime(f, f).map:
+                return Verdict(False, (i,))
     return Verdict(True)
 
 

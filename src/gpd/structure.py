@@ -6,12 +6,12 @@ generated-ideal minimality criterion, the group of units characterised
 through bijective translations (cross-checked against the set of
 Cayley-invertible elements), the dense-translation submonoid, subsemigroups
 attached to subgroupoids, and the classification of antihomomorphism
-members.  Translations and member maps are read from the table's ``trans``
-and ``maps`` arrays.  A fact that several operations share (the special
-elements, the bijective-translation set and its closure, the
-left-cancellative mask) is passed in by the caller, which computes it once
-per table.  Verdicts carry witnesses so a failure is reproducible from the
-report alone.
+members.  Member facts are read off the table's arrays: member i is row i
+of ``maps`` and of ``trans``, and ``MonoidTable.rank`` numbers any stack of
+maps.  A fact that several operations share (the special elements, the
+bijective-translation set and its closure, the left-cancellative mask) is
+passed in by the caller, which computes it once per table.  Verdicts carry
+witnesses so a failure is reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -22,13 +22,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySubset, NotASubgroupoid, PreconditionFailed, ShapeError
-from .groupoid import UNDEFINED, Groupoid, is_principal, morphism_classify
+from .errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed, ShapeError
+from .groupoid import UNDEFINED, Groupoid, is_principal
 from .endo import MonoidTable, membership
 
 
 def j_index(t: MonoidTable) -> int:
-    return t.index[tuple(t.groupoid.inverse)]
+    j = int(t.rank([t.groupoid.inverse])[0])
+    if j < 0:
+        raise MembershipError(f"the inverse map is not in side {t.side}")
+    return j
+
+
+def _in_mirror(g: Groupoid, side: str, maps: np.ndarray) -> np.ndarray:
+    """Whether each row of a (T, n) stack of maps lies on the side other than
+    ``side``: r(f(x)) = d(x) for S', d(f(x)) = r(x) for S."""
+    rm, dm = np.asarray(g.range_map), np.asarray(g.domain_map)
+    return ((rm[maps] == dm) if side == "S" else (dm[maps] == rm)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -153,14 +163,12 @@ def group_of_units(g: Groupoid, t: MonoidTable,
     via right translations on side S'.
     """
     indices, closed = bijective
-    inv = np.asarray(g.inverse)
-    inverse = {}
-    witness = None
-    verified = True
-    for i in indices:
-        psi = inv[t.maps[i]][np.argsort(t.trans[i])]  # psi(phi(x) x) = phi(x)^-1
-        k = t.index.get(tuple(psi.tolist()))
-        if k is None:
+    rows = list(indices)
+    psi = np.take_along_axis(np.asarray(g.inverse)[t.maps[rows]],  # psi(phi(x) x) = phi(x)^-1
+                             np.argsort(t.trans[rows], axis=1), axis=1)
+    inverse, witness, verified = {}, None, True
+    for i, k in zip(indices, t.rank(psi).tolist()):
+        if k < 0:
             verified, witness = False, (i, "inverse not a member")
             continue
         inverse[i] = k
@@ -353,7 +361,9 @@ def antihom_classification(g: Groupoid, t: MonoidTable, spec: SpecialElements) -
     recorded separately; ``antihom_flags[i]`` says whether member i is one.
     """
     j = j_index(t)
-    anti_flags = tuple(morphism_classify(g, g, f.map).antihomomorphism for f in t.elements)
+    P, M = np.asarray(g.product), t.maps
+    xs, ys = np.nonzero(P != UNDEFINED)  # f(xy) = f(y) f(x) at every defined cell
+    anti_flags = tuple((P[M[:, ys], M[:, xs]] == M[:, P[xs, ys]]).all(axis=1).tolist())
 
     injective = (np.sort(t.maps, axis=1) == np.arange(g.size)).all(axis=1)
     rule6 = tuple(i for i in spec.idempotents if injective[i] and anti_flags[i])
@@ -362,10 +372,7 @@ def antihom_classification(g: Groupoid, t: MonoidTable, spec: SpecialElements) -
 
     # the function inverse of a bijective member is back[f(x)] = x; on side
     # S it must lie in S' (r(back(x)) = d(x)), on side S' in S
-    back = np.argsort(t.maps, axis=1)
-    rm, dm = np.asarray(g.range_map), np.asarray(g.domain_map)
-    lands = (rm[back] == dm) if t.side == "S" else (dm[back] == rm)
-    stray = np.flatnonzero(injective & ~lands.all(axis=1))
+    stray = np.flatnonzero(injective & ~_in_mirror(g, t.side, np.argsort(t.maps, axis=1)))
     witness = (int(stray[0]),) if len(stray) else None
 
     return AntihomVerdicts(
@@ -391,7 +398,7 @@ class IntersectionReport:
 def intersection_analysis(g: Groupoid, t: MonoidTable) -> IntersectionReport:
     """S and S' intersected, as indices of the given table, together with
     the principality flag and the one-way implication between them."""
-    inter = tuple(i for i, f in enumerate(t.elements) if (f.in_spg if t.side == "S" else f.in_sg))
+    inter = tuple(int(i) for i in np.flatnonzero(_in_mirror(g, t.side, t.maps)))
     only_j = inter == (j_index(t),)
     principal = is_principal(g)
     forward = (not principal) or only_j

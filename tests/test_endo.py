@@ -235,7 +235,7 @@ def test_unit_groupoid_monoid_is_trivial():
         for side in ("S", "S'"):
             t = enumerate_monoid(corpus.unit_groupoid(size), side)
             assert len(t) == 1
-            assert t.elements[0].map == tuple(range(size))
+            assert t.maps.tolist() == [list(range(size))]
             assert t.op.tolist() == [[0]] and t.identity == 0
 
 
@@ -247,14 +247,17 @@ def test_cap_exceeded(c3):
         enumerate_monoid(c3, "S", product_cap=100)
 
 
+def members(t):
+    """Member i of a table as the scalar reference object, built from maps[i]."""
+    return [gfun(t.groupoid, m) for m in t.maps.tolist()]
+
+
 def test_cayley_table_matches_scalar_star(sg_c2, spg_c2, sg_pair2):
-    for table, op_fn in ((sg_c2, star), (sg_pair2, star)):
-        for i, f in enumerate(table.elements):
-            for j, h in enumerate(table.elements):
-                assert table.elements[table.mul(i, j)].map == op_fn(f, h).map
-    for i, f in enumerate(spg_c2.elements):
-        for j, h in enumerate(spg_c2.elements):
-            assert spg_c2.elements[spg_c2.mul(i, j)].map == star_prime(f, h).map
+    for table, op_fn in ((sg_c2, star), (sg_pair2, star), (spg_c2, star_prime)):
+        fs = members(table)
+        for i, f in enumerate(fs):
+            for j, h in enumerate(fs):
+                assert tuple(table.maps[table.mul(i, j)].tolist()) == op_fn(f, h).map
 
 
 def test_c2_cayley_oracle(sg_c2):
@@ -270,14 +273,14 @@ def test_c2_cayley_oracle(sg_c2):
 
 
 def test_identity_located(sg_pair2, spg_pair2):
-    assert sg_pair2.elements[sg_pair2.identity].map == tuple(sg_pair2.groupoid.range_map)
-    assert spg_pair2.elements[spg_pair2.identity].map == tuple(spg_pair2.groupoid.domain_map)
+    assert tuple(sg_pair2.maps[sg_pair2.identity].tolist()) == sg_pair2.groupoid.range_map
+    assert tuple(spg_pair2.maps[spg_pair2.identity].tolist()) == spg_pair2.groupoid.domain_map
 
 
 def test_monoid_membership_flags(sg_pair2):
     # every enumerated element is in side S; the S' flag marks the intersection
-    assert all(f.in_sg for f in sg_pair2.elements)
-    inter = [f for f in sg_pair2.elements if f.in_spg]
+    assert all(f.in_sg for f in members(sg_pair2))
+    inter = [f for f in members(sg_pair2) if f.in_spg]
     assert len(inter) == 1  # pair groupoids: only j
 
 
@@ -287,17 +290,39 @@ def test_translation_array_matches_scalar(small_corpus):
         for side, fn in (("S", left_translation), ("S'", right_translation)):
             t = enumerate_monoid(g, side)
             assert t.trans.shape == (len(t), g.size), (name, side)
-            for i, f in enumerate(t.elements):
+            for i, f in enumerate(members(t)):
                 assert tuple(int(v) for v in t.trans[i]) == fn(f), (name, side, i)
+
+
+def test_rank_numbers_the_maps_rows(small_corpus):
+    for name, g in small_corpus:
+        for side in ("S", "S'"):
+            t = enumerate_monoid(g, side)
+            assert np.array_equal(t.rank(t.maps), np.arange(len(t))), (name, side)
+
+
+def test_rank_is_minus_one_off_the_side(sg_pair2, spg_pair2):
+    # the identity permutation fixes non-units, so it is in neither side of
+    # pair(2); j is in both, d only in S'
+    g = sg_pair2.groupoid
+    rows = [list(range(4)), g.inverse, g.domain_map]
+    assert sg_pair2.rank(rows).tolist() == [-1, 5, -1]
+    assert spg_pair2.rank(rows).tolist() == [-1, 3, spg_pair2.identity]
+    assert sg_pair2.maps[5].tolist() == spg_pair2.maps[3].tolist() == list(g.inverse)
+
+
+def test_involution_indices_need_members(sg_pair2, spg_pair2):
+    maps = sg_pair2.maps.copy()
+    maps[3] = range(4)  # its involution image is itself, not in side S'
+    with pytest.raises(MembershipError):
+        involution_indices(dataclasses.replace(sg_pair2, maps=maps), spg_pair2)
 
 
 def test_involution_indices_match_scalar(small_corpus):
     for name, g in small_corpus:
         ts, tsp = enumerate_monoid(g, "S"), enumerate_monoid(g, "S'")
         sigma = involution_indices(ts, tsp)
-        assert [int(k) for k in sigma] == [
-            tsp.index[involution_star(f).map] for f in ts.elements
-        ], name
+        assert tsp.maps[sigma].tolist() == [list(involution_star(f).map) for f in members(ts)], name
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +349,8 @@ def closure_scan_dense(g, side="S", cap=66_000):
     for i in range(len(maps)):
         F = np.broadcast_to(maps[i], maps.shape)
         res = star_rows(ker, F, maps, side)
-        if (res < 0).any() or not ker.member_rows(res, side).all():
+        d, r = (ker.dm, ker.rm) if side == "S" else (ker.rm, ker.dm)
+        if (res < 0).any() or not (d[res] == r).all():
             return False
     return True
 

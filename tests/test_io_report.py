@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import corpus, io
+from gpd import cli, corpus, io
 from gpd.census import enumerate_groupoids, principal_converse_search
 from gpd.endo import (
     DEFAULT_MONOID_CAP,
@@ -22,7 +22,7 @@ from gpd.endo import (
     star_prime,
 )
 from gpd.errors import ShapeError
-from gpd.groupoid import disjoint_union
+from gpd.groupoid import disjoint_union, morphism_classify
 from gpd.operators import Verdict, left_operator, right_operator
 import gpd.endo
 import gpd.groupoid
@@ -93,7 +93,7 @@ def test_monoid_export(sg_c2):
 
 def test_linop_export(c2):
     f = gfun(c2, (1, 1))
-    obj = io.linop_to_dict(f, left_operator(f))
+    obj = io.linop_to_dict(f.map, left_operator(f))
     assert obj == {"fn": [1, 1], "matrix": [[0, 1], [1, 0]]}
 
 
@@ -126,10 +126,23 @@ def stdlib_bytes(obj) -> bytes:
 
 
 def rep_payload(g, side):
+    """The ``gpd rep`` payload built from the scalar operators of each member."""
     build = left_operator if side == "S" else right_operator
     t = enumerate_monoid(g, side)
+    members = (gfun(g, m) for m in t.maps.tolist())
     return {"groupoid": g.name, "side": side,
-            "operators": [io.linop_to_dict(f, build(f)) for f in t.elements]}
+            "operators": [io.linop_to_dict(f.map, build(f)) for f in members]}
+
+
+@pytest.mark.parametrize("name, side", [("C4", "S"), ("pair(2)", "S'"), ("transform", "S")])
+def test_rep_export_equals_the_scalar_operators(tmp_path, name, side):
+    # gpd rep reads rows of maps and trans; the payload built member by
+    # member from left_operator / right_operator must give the same bytes
+    g = dict(corpus.standard_corpus())[name]
+    path, out = tmp_path / "g.json", tmp_path / "rep.json"
+    io.save_groupoid(path, g)
+    assert cli.main(["rep", str(path), "--side", side, "-o", str(out)]) == 0
+    assert out.read_bytes() == io.dump_bytes(rep_payload(g, side))
 
 
 def real_payloads():
@@ -298,7 +311,7 @@ def test_law_checks_fail_on_a_corrupted_cell(c3):
     assert v["L3.7"].witness == (i, j)
     assert v["P4.1"].witness == ("left_hom", (i, j))
     assert v["C4.3"].witness == (i, j)
-    fi, fj, fw = ts.elements[i], ts.elements[j], ts.elements[w]
+    fi, fj, fw = (gfun(c3, ts.maps[k].tolist()) for k in (i, j, w))
     assert left_translation(star(fi, fj)) != left_translation(fw)
     mirrored = star_prime(involution_star(fi), involution_star(fj))
     assert right_translation(mirrored) != right_translation(involution_star(fw))
@@ -308,8 +321,8 @@ def test_law_checks_fail_on_a_corrupted_cell(c3):
     w = int(tsp.op[i, j])
     assert [cid for cid, verdict in v.items() if not verdict.passed] == ["P4.2"]
     assert v["P4.2"].witness == ("right_hom", (i, j))
-    hi, hj = tsp.elements[i], tsp.elements[j]
-    assert right_translation(star_prime(hi, hj)) != right_translation(tsp.elements[w])
+    hi, hj, hw = (gfun(c3, tsp.maps[k].tolist()) for k in (i, j, w))
+    assert right_translation(star_prime(hi, hj)) != right_translation(hw)
 
 
 def test_p41_units_come_from_the_table(c3):
@@ -345,10 +358,54 @@ def test_p41_dense_rank_compares_with_the_table(c3):
     ("pair2", "S", (2, 2), "P3.8", ("S", (2,))),
     # the members preserving the unit {0} stop being closed
     ("c2", "S", (0, 1), "P3.9", ((0,), None)),
+    # j * j != j: no injective idempotent antihomomorphism is left
+    ("c3", "S", (7, 7), "P3.3.6", ()),
+    # r * j != j: no right zero is an antihomomorphism
+    ("c3", "S", (0, 7), "P3.3.7", ()),
 ])
 def test_structure_checks_fail_on_a_corrupted_cell(request, name, side, cell, cid, witness):
     ctx = _corrupted_ctx(request.getfixturevalue(name), side, *cell)
     assert gpd.report._CHECKS[cid](ctx) == Verdict(False, witness)
+
+
+def test_antihom_witnesses_replay_on_the_scalar_reference(c3):
+    # the two cells moved above: j is an injective antihomomorphism with
+    # j * j = j and r * j = j, so P3.3.6 and P3.3.7 fail on the table alone
+    t = enumerate_monoid(c3, "S")
+    j, r = gfun(c3, c3.inverse), gfun(c3, c3.range_map)
+    assert t.maps[7].tolist() == list(j.map) and t.identity == 0
+    assert morphism_classify(c3, c3, j.map).antihomomorphism and len(set(j.map)) == c3.size
+    assert star(j, j).map == j.map and star(r, j).map == j.map
+    assert t.op[7, 7] == 7 and t.op[0, 7] == 7
+
+
+def _replaced_map_ctx(g, side, i, row):
+    """A report context whose table on ``side`` has map i replaced by ``row``."""
+    ctx = _Ctx(g, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    s = ctx.sides[SIDES.index(side)]
+    maps = s.table.maps.copy()
+    maps[i] = row
+    s.table = dataclasses.replace(s.table, maps=maps)
+    return ctx
+
+
+def test_member_checks_fail_on_a_replaced_map(pair2):
+    # P3.3.5: the identity permutation in place of r (member 0) is bijective,
+    # and its function inverse, itself, is not in side S'
+    ident = list(range(pair2.size))
+    assert gpd.report._CHECKS["P3.3.5"](_replaced_map_ctx(pair2, "S", 0, ident)) == \
+        Verdict(False, (0,))
+    assert morphism_classify(pair2, pair2, ident).isomorphism
+    assert not gfun(pair2, ident).in_spg
+
+    # P3.3.2: units(2) has S = {r}, and r = j is a left zero; a row that
+    # swaps the two units breaks "every member fixes every unit" alone
+    u2 = corpus.unit_groupoid(2)
+    for side in SIDES:
+        ctx = _replaced_map_ctx(u2, side, 0, [1, 0])
+        assert gpd.report._CHECKS["P3.3.2"](ctx) == Verdict(False, (side, (0, 0)))
+    j = gfun(u2, u2.inverse)
+    assert star(j, gfun(u2, u2.range_map)).map == j.map
 
 
 def test_rebuilt_table_recomputes_cached_facts(c3):
@@ -389,7 +446,7 @@ def test_shared_table_facts_are_computed_once(c3, monkeypatch):
     assert len(laws) == 3  # side S, side S', the mixed action
     for calls in per_side:
         assert sorted(args[0].side for args in calls) == ["S", "S'"]
-    assert len(classified) <= report.monoid_size
+    assert classified == []  # P3.3.5-P3.3.8 read antihomomorphisms off the maps
     # only P3.3.4 tests both halves of an ideal; P3.3.3 reads left ideals
     assert sorted(args[0].side for args in ideals) == ["S", "S'"]
     ideals.clear()

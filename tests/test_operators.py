@@ -112,7 +112,7 @@ def test_exact_rank():
 
 def test_matrix_homomorphism_c2(sg_c2):
     # matrix(f1 * f2) == matrix(f1) @ matrix(f2) over all 16 pairs
-    mats = [np.array(left_operator(f).matrix) for f in sg_c2.elements]
+    mats = [np.array(left_operator(gfun(sg_c2.groupoid, m)).matrix) for m in sg_c2.maps.tolist()]
     for i, j in itertools.product(range(4), repeat=2):
         got = mats[i] @ mats[j]
         expect = mats[sg_c2.mul(i, j)]
@@ -168,8 +168,9 @@ def test_mixed_action_vector_form(sg_c2, spg_c2):
         return right_operator(involution_star(f)).apply(vec)
 
     basis = [tuple(1 if i == k else 0 for i in range(2)) for k in range(2)]
-    for f1, f2 in itertools.product(sg_c2.elements, repeat=2):
-        prod = sg_c2.elements[sg_c2.mul(sg_c2.index[f1.map], sg_c2.index[f2.map])]
+    members = [gfun(sg_c2.groupoid, m) for m in sg_c2.maps.tolist()]
+    for f1, f2 in itertools.product(members, repeat=2):
+        prod = members[sg_c2.mul(*sg_c2.rank([f1.map, f2.map]))]
         for vec in basis:
             assert act(vec, prod) == act(act(vec, f2), f1)
 

@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from gpd import corpus
-from gpd.endo import enumerate_monoid, gfun, involution_star, iter_monoid_maps, star
-from gpd.errors import EmptySubset, NotASubgroupoid, PreconditionFailed
+from gpd.census import enumerate_groupoids
+from gpd.endo import SIDES, enumerate_monoid, gfun, involution_star, iter_monoid_maps, membership, star
+from gpd.errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed
+from gpd.groupoid import morphism_classify
 from gpd.structure import (
     antihom_classification,
     bijective_translations,
@@ -50,8 +53,8 @@ def test_c2_sets_against_brute_force(sg_c2):
     assert idem == {(0, 0), (0, 1), (1, 0)}
     assert rzero == {(0, 1), (1, 0)}
     spec = special_elements(sg_c2)
-    assert {sg_c2.elements[i].map for i in spec.idempotents} == idem
-    assert {sg_c2.elements[i].map for i in spec.right_zeros} == rzero
+    assert {tuple(sg_c2.maps[i].tolist()) for i in spec.idempotents} == idem
+    assert {tuple(sg_c2.maps[i].tolist()) for i in spec.right_zeros} == rzero
 
 
 def test_c2_special_elements_frozen(sg_c2):
@@ -89,7 +92,7 @@ def test_left_zero_criterion():
     assert not v.j_is_left_zero and not v.all_maps_fix_units
     assert v.equivalence_holds
     i, u = v.witness
-    assert t.elements[i].map[u] != u
+    assert t.maps[i, u] != u
 
     p2 = corpus.pair_groupoid(2)
     v = left_zero_criterion(p2, enumerate_monoid(p2, "S"))
@@ -164,6 +167,29 @@ def test_group_of_units_trivial_cases():
     assert units_crosscheck(h1, cayley_units(t)).agrees
 
 
+def test_group_of_units_inverse_not_a_member(pair2):
+    # the identity permutation in place of unit 6's map: its pointwise
+    # inverse, built from the unchanged translation, leaves side S
+    t = enumerate_monoid(pair2, "S")
+    bijective = bijective_translations(t)
+    assert bijective == ((3, 6, 9, 12), True)
+    maps = t.maps.copy()
+    maps[6] = range(pair2.size)
+    h1 = group_of_units(pair2, dataclasses.replace(t, maps=maps), bijective)
+    assert not h1.verified
+    assert h1.witness == (6, "inverse not a member")
+    assert h1.inverse == {3: 3, 9: 9, 12: 12}
+    psi = np.asarray(pair2.inverse)[maps[6]][np.argsort(t.trans[6])]
+    assert t.rank([psi])[0] == -1 and not membership(pair2, psi.tolist()).in_sg
+
+
+def test_j_index_needs_a_member(pair2):
+    t = enumerate_monoid(pair2, "S")
+    fake = dataclasses.replace(pair2, inverse=tuple(range(pair2.size)))  # not in S
+    with pytest.raises(MembershipError):
+        j_index(dataclasses.replace(t, groupoid=fake))
+
+
 def test_r_always_in_h1_and_crosscheck(small_corpus):
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
@@ -191,8 +217,9 @@ def test_dense_submonoid(sg_c2, small_corpus):
         assert tg.left_cancellative, name
         # the involution carries T_G onto the mirror set of side S'
         tsp = enumerate_monoid(g, "S'")
-        mirror = {tsp.elements[k].map for k in _dense(tsp).indices}
-        assert {involution_star(t.elements[i]).map for i in tg.indices} == mirror, name
+        mirror = {tuple(tsp.maps[k].tolist()) for k in _dense(tsp).indices}
+        images = {involution_star(gfun(g, t.maps[i].tolist())).map for i in tg.indices}
+        assert images == mirror, name
 
 
 def test_dense_submonoid_cancellation_witness(c3):
@@ -297,6 +324,24 @@ def test_antihom_star_equals_star_prime(small_corpus):
             if not morphism_classify(g, g, m).antihomomorphism:
                 continue
             assert star(f, f).map == star_prime(f, f).map, (name, m)
+
+
+def test_member_masks_match_the_scalar_reference(small_corpus):
+    # the antihomomorphism flags and the intersection, read off the maps
+    # array, equal morphism_classify and membership member by member
+    pool = list(small_corpus)
+    for order in range(1, 6):
+        pool += [(h.name, h) for h in enumerate_groupoids(order).representatives]
+    for name, g in pool:
+        for side in SIDES:
+            t = enumerate_monoid(g, side)
+            flags = antihom_classification(g, t, special_elements(t)).antihom_flags
+            maps = t.maps.tolist()
+            assert flags == tuple(morphism_classify(g, g, m).antihomomorphism for m in maps), \
+                (name, side)
+            mirror = [membership(g, m).in_spg if side == "S" else membership(g, m).in_sg
+                      for m in maps]
+            assert intersection_analysis(g, t).indices == tuple(np.flatnonzero(mirror)), (name, side)
 
 
 def test_intersection_analysis(sg_c2, sg_pair2):
