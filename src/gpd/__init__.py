@@ -25,7 +25,6 @@ from .groupoid import (
 from .endo import (
     GFun,
     MonoidTable,
-    canonical_elements,
     enumerate_monoid,
     gfun,
     involution_star,
@@ -34,7 +33,6 @@ from .endo import (
     predicted_size,
     star,
     star_prime,
-    translation_maps,
 )
 from .report import CHECK_IDS, StructureReport, full_report
 

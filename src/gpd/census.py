@@ -1,9 +1,11 @@
 """Isomorphism machinery, the small-groupoid census, and the converse probe.
 
-The induced map on endomorphism monoids: a groupoid isomorphism psi sends a
-member f to psi . f . psi^-1, and this assignment preserves identities and
-products and composes functorially; ``monoid_iso_audit`` and
-``functoriality_audit`` verify those laws exhaustively at small scale.
+A groupoid isomorphism psi transports a member f to psi . f . psi^-1.  On
+enumerated tables that is a map pi of member indices, one ``rank`` call that
+never reads a Cayley table, so the audits check the functor laws on both
+sides as array comparisons between two independently built tables: pi is a
+permutation fixing the identity with pi[i * j] = pi[i] * pi[j], and pi along
+a composite is the composite of the two.
 
 ``enumerate_groupoids`` builds the census from the structure theorem: a
 connected finite groupoid is isomorphic to H x pair(k), H its isotropy
@@ -33,14 +35,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .endo import (
-    DEFAULT_MONOID_CAP,
-    GFun,
-    gfun,
-    iter_monoid_maps,
-    predicted_size,
-    star,
-)
+import numpy as np
+
+from .endo import SIDES, MonoidTable, enumerate_monoid
 from .errors import CapExceeded, NotAnIsomorphism, ShapeError
 from .groupoid import (
     UNDEFINED,
@@ -51,6 +48,8 @@ from .groupoid import (
     morphism_classify,
     transformation_groupoid,
 )
+from .operators import Verdict
+from .structure import bijective_translations
 
 MAX_CENSUS_ORDER = 6
 
@@ -181,6 +180,10 @@ class Isomorphism:
     map: tuple[int, ...]
     inverse_map: tuple[int, ...]
 
+    def carry(self, maps: np.ndarray) -> np.ndarray:
+        """psi . f . psi^-1 for each row f of a (T, n) stack of maps on ``src``."""
+        return np.asarray(self.map)[maps[:, np.asarray(self.inverse_map)]]
+
 
 def as_isomorphism(g: Groupoid, h: Groupoid, m) -> Isomorphism:
     m = tuple(int(v) for v in m)
@@ -195,165 +198,112 @@ def as_isomorphism(g: Groupoid, h: Groupoid, m) -> Isomorphism:
     return Isomorphism(g, h, m, tuple(back))
 
 
-def induced_gfun(iso: Isomorphism, f: GFun) -> GFun:
-    """Transport a member along an isomorphism: x -> psi(f(psi^-1(x)))."""
-    if f.base != iso.src:
-        raise ShapeError("member lives on a different groupoid")
-    mapping = tuple(iso.map[f.map[iso.inverse_map[x]]] for x in iso.dst.elements())
-    out = gfun(iso.dst, mapping)
-    if f.in_sg and not out.in_sg:
-        raise NotAnIsomorphism("transport left side S")
-    return out
+# ---------------------------------------------------------------------------
+# the functor and embedding audits, as maps of member indices
 
 
-@dataclass(frozen=True)
-class FunctorAudit:
-    members_transported: bool
-    identity_preserved: bool
-    products_preserved: bool
-    bijective: bool
-    witness: tuple | None
-
-    @property
-    def passed(self):
-        return (self.members_transported and self.identity_preserved
-                and self.products_preserved and self.bijective)
+def transport(ts: MonoidTable, th: MonoidTable, image) -> np.ndarray:
+    """pi[i] = the index in ``th`` of ``image`` applied to member i of ``ts``,
+    -1 where that map is not a member; ``image`` maps a (T, n) stack of maps."""
+    return th.rank(image(ts.maps))
 
 
-def monoid_iso_audit(iso: Isomorphism, cap: int = DEFAULT_MONOID_CAP) -> FunctorAudit:
-    """Exhaustively verify that transport along iso is a monoid isomorphism."""
-    g, h = iso.src, iso.dst
-    pred = predicted_size(g, "S")
-    if pred > cap:
-        raise CapExceeded(f"monoid size {pred} exceeds cap {cap}", predicted=pred)
-    src = [gfun(g, m) for m in iter_monoid_maps(g, "S")]
-    images = [induced_gfun(iso, f) for f in src]
-    members = all(f.in_sg for f in images)
-    target = set(iter_monoid_maps(h, "S"))
-    bij = {f.map for f in images} == target and len({f.map for f in images}) == len(images)
-    ident = induced_gfun(iso, gfun(g, g.range_map)).map == tuple(h.range_map)
-    witness = None
-    products = True
-    for f1, f2 in itertools.product(range(len(src)), repeat=2):
-        lhs = induced_gfun(iso, star(src[f1], src[f2])).map
-        rhs = star(images[f1], images[f2]).map
-        if lhs != rhs:
-            products = False
-            witness = (f1, f2)
-            break
-    return FunctorAudit(members, ident, products, bij, witness)
+def _tables(side: str, *gs: Groupoid) -> list[MonoidTable]:
+    """Each groupoid's table on ``side``, enumerated once per distinct groupoid."""
+    built = {g: enumerate_monoid(g, side) for g in dict.fromkeys(gs)}
+    return [built[g] for g in gs]
 
 
-def functoriality_audit(iso1: Isomorphism, iso2: Isomorphism,
-                        cap: int = DEFAULT_MONOID_CAP) -> bool:
-    """Transport along a composite equals the composite of transports."""
+def _first(bad: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def _morphism_failure(pi: np.ndarray, ts: MonoidTable, th: MonoidTable,
+                      onto: bool) -> tuple | None:
+    """The first law pi breaks as a monoid morphism from ts into th, as
+    (law, side, member) or ("products", side, i, j), or None.  In order:
+    members, bijective (``onto``; else injective; the member is one of th
+    hit other than once), identity (``onto`` only), and products."""
+    if (pi < 0).any():
+        return "members", ts.side, *_first(pi < 0)
+    hits = np.bincount(pi, minlength=len(th))
+    bad = hits != 1 if onto else hits > 1
+    if bad.any():
+        return "bijective" if onto else "injective", ts.side, *_first(bad)
+    if onto and pi[ts.identity] != th.identity:
+        return "identity", ts.side, ts.identity
+    bad = pi[ts.op] != th.op[pi[:, None], pi[None, :]]
+    if bad.any():
+        return "products", ts.side, *_first(bad)
+    return None
+
+
+def monoid_iso_audit(iso: Isomorphism) -> Verdict:
+    """Exhaustively verify, on both sides, that transport along iso is a
+    monoid isomorphism between the tables of its source and target."""
+    for side in SIDES:
+        ts, th = _tables(side, iso.src, iso.dst)
+        failure = _morphism_failure(transport(ts, th, iso.carry), ts, th, onto=True)
+        if failure:
+            return Verdict(False, failure)
+    return Verdict(True)
+
+
+def functoriality_audit(iso1: Isomorphism, iso2: Isomorphism) -> Verdict:
+    """Transport along psi2 psi1 equals transport along psi1, then psi2, on
+    every member of both sides; the witness names the first member where
+    they differ."""
     if iso1.dst != iso2.src:
         raise NotAnIsomorphism("isomorphisms do not compose")
-    comp = as_isomorphism(
-        iso1.src, iso2.dst,
-        tuple(iso2.map[iso1.map[x]] for x in iso1.src.elements()),
-    )
-    pred = predicted_size(iso1.src, "S")
-    if pred > cap:
-        raise CapExceeded(f"monoid size {pred} exceeds cap {cap}", predicted=pred)
-    for m in iter_monoid_maps(iso1.src, "S"):
-        f = gfun(iso1.src, m)
-        if induced_gfun(comp, f).map != induced_gfun(iso2, induced_gfun(iso1, f)).map:
-            return False
-    return True
+    comp = as_isomorphism(iso1.src, iso2.dst, [iso2.map[v] for v in iso1.map])
+    for side in SIDES:
+        t1, t2, t3 = _tables(side, iso1.src, iso1.dst, iso2.dst)
+        first, second = transport(t1, t2, iso1.carry), transport(t2, t3, iso2.carry)
+        whole = transport(t1, t3, comp.carry)
+        laws = [("members", pi < 0) for pi in (first, second, whole)]
+        for law, bad in laws + [("functoriality", second[first] != whole)]:
+            if bad.any():
+                return Verdict(False, (law, side, *_first(bad)))
+    return Verdict(True)
 
 
-# ---------------------------------------------------------------------------
-# the embedding attached to a transformation groupoid
-
-
-@dataclass(frozen=True)
-class EmbeddingAudit:
-    monoid_size: int
-    members: bool
-    products_match: bool
-    injective: bool
-    units_embed: bool
-    constant_family_law: bool
-    twisted_members_dense: bool
-    witness: tuple | None
-
-    @property
-    def passed(self):
-        return (self.members and self.products_match and self.injective
-                and self.units_embed and self.constant_family_law
-                and self.twisted_members_dense)
-
-
-def transformation_embedding_audit(action: GroupAction,
-                                   cap: int = DEFAULT_MONOID_CAP) -> EmbeddingAudit:
+def transformation_embedding_audit(action: GroupAction) -> Verdict:
     """Audit the embedding of the acting group's monoid into the monoid of
     its transformation groupoid.
 
     A self-map phi of the group T goes to the member
     f_phi(u, t) = (u . phi(t)^-1, phi(t)) of the groupoid U x T.  Verified
-    exhaustively: every f_phi is a member, phi -> f_phi is injective and
-    turns the product of maps on T into the product on U x T, units go to
-    units, the constant maps give a family with f_z1 * f_z2 = f_(z1 z2),
-    and the twisted maps t -> t s^-1 t land in the dense-translation
-    submonoid.
+    exhaustively on the tables of side S: every f_phi is a member,
+    phi -> f_phi is injective and turns the product of maps on T into the
+    product on U x T, units go to units, the constant maps give a family
+    with f_z1 * f_z2 = f_(z1 z2), and the twisted maps t -> t s^-1 t land
+    in the dense-translation submonoid.  Units and dense members are read
+    off the translations.
     """
     t = action.group
-    g = transformation_groupoid(action)
+    tt = enumerate_monoid(t, "S")
+    tg = enumerate_monoid(transformation_groupoid(action), "S")
     k = t.size
-    pred = predicted_size(t, "S")
-    if pred > cap:
-        raise CapExceeded(f"|T|^|T| = {pred} exceeds cap {cap}", predicted=pred)
+    act, tinv, tp = np.asarray(action.act), np.asarray(t.inverse), np.asarray(t.product)
 
-    def embed(phi) -> GFun:
-        m = [0] * g.size
-        for u in range(action.space):
-            for x in range(k):
-                px = phi[x]
-                m[u * k + x] = action.act[u][t.inverse[px]] * k + px
-        return gfun(g, m)
+    def embed(phi: np.ndarray) -> np.ndarray:  # f_phi at (u, x) has id u k + x
+        return (act[:, tinv[phi]].transpose(1, 0, 2) * k + phi[:, None, :]).reshape(len(phi), -1)
 
-    t_maps = [gfun(t, m) for m in iter_monoid_maps(t, "S")]
-    images = [embed(f.map) for f in t_maps]
-    members = all(f.in_sg for f in images)
-    injective = len({f.map for f in images}) == len(images)
-
-    witness = None
-    products = True
-    for i, j in itertools.product(range(len(t_maps)), repeat=2):
-        lhs = star(images[i], images[j]).map
-        rhs = embed(star(t_maps[i], t_maps[j]).map).map
-        if lhs != rhs:
-            products = False
-            witness = (i, j)
-            break
-
-    def bijective_translation(f: GFun) -> bool:
-        base = f.base
-        trans = {base.product[f.map[x]][x] for x in base.elements()}
-        return len(trans) == base.size
-
-    units_embed = all(
-        bijective_translation(images[i])
-        for i, f in enumerate(t_maps) if bijective_translation(f)
-    )
-
-    constant_ok = True
-    for z1 in range(k):
-        f1 = embed([z1] * k)
-        for z2 in range(k):
-            f2 = embed([z2] * k)
-            if star(f1, f2).map != embed([t.mul(z1, z2)] * k).map:
-                constant_ok = False
-
-    twisted_ok = True
-    for s in range(k):
-        phi = [t.mul(t.mul(x, t.inverse[s]), x) for x in range(k)]
-        if not bijective_translation(embed(phi)):
-            twisted_ok = False
-
-    return EmbeddingAudit(pred, members, products, injective, units_embed,
-                          constant_ok, twisted_ok, witness)
+    pi = transport(tt, tg, embed)
+    failure = _morphism_failure(pi, tt, tg, onto=False)
+    if failure:
+        return Verdict(False, failure)
+    xs = np.arange(k)
+    units = np.isin(np.arange(len(tt)), bijective_translations(tt)[0])
+    dense = np.isin(pi, bijective_translations(tg)[0])  # f_phi has a bijective translation
+    const = pi[tt.rank(np.repeat(xs[:, None], k, axis=1))]  # const[z]: f_phi for phi = z
+    twisted = tt.rank(tp[tp[xs, tinv[:, None]], xs])  # row s: x -> x s^-1 x
+    for law, bad in (("units", units & ~dense),
+                     ("constant family", tg.op[const[:, None], const[None, :]] != const[tp]),
+                     ("twisted", ~dense[twisted])):
+        if bad.any():
+            return Verdict(False, (law, "S", *_first(bad)))
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +523,8 @@ def intersection_size(g: Groupoid) -> tuple[int, bool]:
 
 def census_through(max_order: int, census_cap: int) -> tuple[Census, ...]:
     """The censuses of orders 1..max_order; refused whole above the cap."""
+    if max_order < 1:
+        raise ShapeError(f"order must be >= 1, got {max_order}")
     if max_order > census_cap:
         raise CapExceeded(f"order {max_order} exceeds census cap {census_cap}",
                           predicted=max_order)

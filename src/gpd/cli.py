@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import io
 from .census import MAX_CENSUS_ORDER, census_through, converse_probe
 from .corpus import cyclic
-from .endo import DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP, enumerate_monoid
+from .endo import DEFAULT_MONOID_CAP, enumerate_monoid
 from .errors import MathError, OperationalError
 from .groupoid import (
     disjoint_union,
@@ -36,8 +36,6 @@ EXIT_OPERATIONAL = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    inputs: tuple[str, ...]
     output: str | None
     cap_monoid: int
     cap_order: int
@@ -46,8 +44,6 @@ class RunConfig:
 
 def _config(args) -> RunConfig:
     cfg = RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "paths", ()) or ()),
         output=getattr(args, "output", None),
         cap_monoid=getattr(args, "cap_monoid", DEFAULT_MONOID_CAP),
         cap_order=getattr(args, "cap_order", MAX_CENSUS_ORDER),
@@ -121,7 +117,7 @@ def cmd_build(args) -> int:
 def cmd_monoid(args) -> int:
     cfg = _config(args)
     g = io.load_groupoid(args.path)
-    t = enumerate_monoid(g, args.side, cfg.cap_monoid, DEFAULT_PRODUCT_CAP)
+    t = enumerate_monoid(g, args.side, cfg.cap_monoid)
     payload = io.monoid_to_dict(t)
     lines = [f"{t.side}-monoid of {g.name or 'groupoid'}: {len(t)} elements, "
              f"identity index {t.identity}"]
@@ -133,11 +129,11 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     g = io.load_groupoid(args.path)
     checks = None
-    if args.props and args.props != "all":
+    if args.props != "all":
         checks = tuple(p.strip() for p in args.props.split(",") if p.strip())
         if not checks:
             raise OperationalError(f"--props {args.props!r} names no check id")
-    report = full_report(g, checks, cfg.cap_monoid, DEFAULT_PRODUCT_CAP)
+    report = full_report(g, checks, cfg.cap_monoid)
     payload = report.to_dict()
     lines = [f"{g.name or 'groupoid'}: |S| = {report.monoid_size}"]
     for cid, verdict in report.verdicts.items():
@@ -154,7 +150,7 @@ def cmd_verify(args) -> int:
 def cmd_rep(args) -> int:
     cfg = _config(args)
     g = io.load_groupoid(args.path)
-    t = enumerate_monoid(g, args.side, cfg.cap_monoid, DEFAULT_PRODUCT_CAP)
+    t = enumerate_monoid(g, args.side, cfg.cap_monoid)
     # row i of trans is the left (on S) or right (on S') translation of member i
     operators = [io.linop_to_dict(m, LinOp(g, tuple(tau)))
                  for m, tau in zip(t.maps.tolist(), t.trans.tolist())]

@@ -33,7 +33,7 @@ from .errors import BaseMismatch, CapExceeded, MembershipError, ShapeError
 from .groupoid import Groupoid
 
 DEFAULT_MONOID_CAP = 1_000_000
-DEFAULT_PRODUCT_CAP = 100_000_000
+PRODUCT_CAP = 100_000_000
 
 SIDES = ("S", "S'")
 
@@ -126,29 +126,6 @@ def involution_star(f: GFun) -> GFun:
     return gfun(g, [g.inverse[f.map[g.inverse[x]]] for x in g.elements()])
 
 
-@dataclass(frozen=True)
-class CanonicalElements:
-    r: GFun
-    d: GFun
-    j: GFun
-
-
-def canonical_elements(g: Groupoid) -> CanonicalElements:
-    """The range map (identity of S), domain map (identity of S'), and the
-    inverse map j, which lies in both sides."""
-    return CanonicalElements(
-        r=gfun(g, g.range_map),
-        d=gfun(g, g.domain_map),
-        j=gfun(g, g.inverse),
-    )
-
-
-@dataclass(frozen=True)
-class Translations:
-    lmap: tuple[int, ...] | None
-    rmap: tuple[int, ...] | None
-
-
 def left_translation(f: GFun) -> tuple[int, ...]:
     """x -> f(x) x, defined because f is in side S."""
     _require(f, "S")
@@ -161,16 +138,6 @@ def right_translation(f: GFun) -> tuple[int, ...]:
     _require(f, "S'")
     g = f.base
     return tuple(g.product[x][f.map[x]] for x in g.elements())
-
-
-def translation_maps(f: GFun) -> Translations:
-    """Both translation maps; each side is present iff f belongs to it."""
-    if not (f.in_sg or f.in_spg):
-        raise MembershipError("translations need a member of either side")
-    return Translations(
-        lmap=left_translation(f) if f.in_sg else None,
-        rmap=right_translation(f) if f.in_spg else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +279,11 @@ def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int
     return None
 
 
-def enumerate_monoid(
-    g: Groupoid,
-    side: str = "S",
-    cap: int = DEFAULT_MONOID_CAP,
-    product_cap: int = DEFAULT_PRODUCT_CAP,
-) -> MonoidTable:
+def enumerate_monoid(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> MonoidTable:
     """Enumerate one side and build its verified Cayley table.
 
     Raises CapExceeded before doing any work if the predicted element count
-    exceeds ``cap`` or the table would need more than ``product_cap``
+    exceeds ``cap`` or the table would need more than ``PRODUCT_CAP``
     products.  The translation certificate proves closure and associativity
     first; the table is then summed from its rows, each expanded over all
     members by one gather (``_product_columns``), since member indices are
@@ -329,9 +291,9 @@ def enumerate_monoid(
     op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]].
     """
     pred = _checked_size(g, side, cap)
-    if pred * pred > product_cap:
+    if pred * pred > PRODUCT_CAP:
         raise CapExceeded(
-            f"Cayley table needs {pred * pred} products, cap {product_cap}",
+            f"Cayley table needs {pred * pred} products, cap {PRODUCT_CAP}",
             predicted=pred * pred,
         )
     maps = monoid_maps_array(g, side, cap)

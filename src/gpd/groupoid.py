@@ -26,7 +26,7 @@ from .errors import (
 
 UNDEFINED = -1
 
-# Constructors refuse element counts above this unless told otherwise.
+# Constructors refuse element counts above this.
 MAX_ELEMENTS = 64
 
 
@@ -125,7 +125,7 @@ def _check_shape(spec: GroupoidSpec):
             raise ShapeError(f"inverse[{x}] = {v} out of range")
 
 
-def build_groupoid(spec: GroupoidSpec, *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def build_groupoid(spec: GroupoidSpec) -> Groupoid:
     """Validate a raw table against every groupoid axiom and derive r, d, units.
 
     Checks, in order: the involution law (x^-1)^-1 = x; that (x^-1, x) and
@@ -139,8 +139,8 @@ def build_groupoid(spec: GroupoidSpec, *, max_size: int = MAX_ELEMENTS) -> Group
     """
     _check_shape(spec)
     n = spec.size
-    if n > max_size:
-        raise CapExceeded(f"groupoid size {n} exceeds cap {max_size}", predicted=n)
+    if n > MAX_ELEMENTS:
+        raise CapExceeded(f"groupoid size {n} exceeds cap {MAX_ELEMENTS}", predicted=n)
     prod, inv = spec.product, spec.inverse
 
     for x in range(n):
@@ -205,22 +205,22 @@ def build_groupoid(spec: GroupoidSpec, *, max_size: int = MAX_ELEMENTS) -> Group
     )
 
 
-def make_groupoid(size, product, inverse, name="", *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def make_groupoid(size, product, inverse, name="") -> Groupoid:
     """Shorthand: coerce raw sequences into a spec and validate it."""
-    return build_groupoid(_as_spec(size, product, inverse, name), max_size=max_size)
+    return build_groupoid(_as_spec(size, product, inverse, name))
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def pair_groupoid(n: int, *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def pair_groupoid(n: int) -> Groupoid:
     """Full-relation groupoid on n units: elements are pairs (i, j), id = n*i + j,
     with (i,j)(j,k) = (i,k) and (i,j)^-1 = (j,i)."""
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
-    if n * n > max_size:
-        raise CapExceeded(f"pair groupoid on {n} units has {n * n} elements, cap {max_size}",
+    if n * n > MAX_ELEMENTS:
+        raise CapExceeded(f"pair groupoid on {n} units has {n * n} elements, cap {MAX_ELEMENTS}",
                           predicted=n * n)
     size = n * n
     prod = [[UNDEFINED] * size for _ in range(size)]
@@ -229,31 +229,31 @@ def pair_groupoid(n: int, *, max_size: int = MAX_ELEMENTS) -> Groupoid:
             for k in range(n):
                 prod[n * i + j][n * j + k] = n * i + k
     inv = [n * (x % n) + x // n for x in range(size)]
-    return make_groupoid(size, prod, inv, f"pair({n})", max_size=max_size)
+    return make_groupoid(size, prod, inv, f"pair({n})")
 
 
-def group_as_groupoid(cayley, inverse, name="", *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def group_as_groupoid(cayley, inverse, name="") -> Groupoid:
     """A group given by a total Cayley table, seen as a one-unit groupoid.
 
     The generic validator rejects any table that is not a group: a total
     product passing the groupoid axioms forces a single unit acting as a
     two-sided identity, with the supplied inverses.
     """
-    g = make_groupoid(len(cayley), cayley, inverse, name, max_size=max_size)
+    g = make_groupoid(len(cayley), cayley, inverse, name)
     if any(UNDEFINED in row for row in g.product):
         raise AxiomViolation("total-product", ())
     return g
 
 
-def unit_groupoid(n: int, *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def unit_groupoid(n: int) -> Groupoid:
     """n isolated units: G = G0, only the products u*u = u are defined."""
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
     prod = [[i if i == j else UNDEFINED for j in range(n)] for i in range(n)]
-    return make_groupoid(n, prod, list(range(n)), f"units({n})", max_size=max_size)
+    return make_groupoid(n, prod, list(range(n)), f"units({n})")
 
 
-def disjoint_union(g1: Groupoid, g2: Groupoid, name="", *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def disjoint_union(g1: Groupoid, g2: Groupoid, name="") -> Groupoid:
     """Tagged union: g1 keeps its ids, g2 is shifted by |g1|; no cross products."""
     n1, n2 = g1.size, g2.size
     n = n1 + n2
@@ -267,7 +267,7 @@ def disjoint_union(g1: Groupoid, g2: Groupoid, name="", *, max_size: int = MAX_E
             prod[n1 + x][n1 + y] = UNDEFINED if v == UNDEFINED else n1 + v
     inv = list(g1.inverse) + [n1 + v for v in g2.inverse]
     label = name or f"union({g1.name or 'g1'},{g2.name or 'g2'})"
-    return make_groupoid(n, prod, inv, label, max_size=max_size)
+    return make_groupoid(n, prod, inv, label)
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ def make_action(group: Groupoid, space: int, act) -> GroupAction:
     )
 
 
-def transformation_groupoid(a: GroupAction, name="", *, max_size: int = MAX_ELEMENTS) -> Groupoid:
+def transformation_groupoid(a: GroupAction, name="") -> Groupoid:
     """Groupoid U x T of a right action: elements (u, t), id = u*|T| + t.
 
     (u, t) and (v, t') compose exactly when v = u.t, giving (u, t t');
@@ -324,8 +324,8 @@ def transformation_groupoid(a: GroupAction, name="", *, max_size: int = MAX_ELEM
     t = a.group
     m, k = a.space, t.size
     size = m * k
-    if size > max_size:
-        raise CapExceeded(f"transformation groupoid has {size} elements, cap {max_size}",
+    if size > MAX_ELEMENTS:
+        raise CapExceeded(f"transformation groupoid has {size} elements, cap {MAX_ELEMENTS}",
                           predicted=size)
     prod = [[UNDEFINED] * size for _ in range(size)]
     for u in range(m):
@@ -335,7 +335,7 @@ def transformation_groupoid(a: GroupAction, name="", *, max_size: int = MAX_ELEM
                 prod[u * k + x][v * k + y] = u * k + t.mul(x, y)
     inv = [a.act[u][x] * k + t.inverse[x] for u in range(m) for x in range(k)]
     label = name or f"transform({t.name or 'T'} on {m})"
-    return make_groupoid(size, prod, inv, label, max_size=max_size)
+    return make_groupoid(size, prod, inv, label)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ import numpy as np
 from .census import intersection_size
 from .endo import (
     DEFAULT_MONOID_CAP,
-    DEFAULT_PRODUCT_CAP,
     SIDES,
     enumerate_monoid,
     gfun,
@@ -126,14 +125,14 @@ class _Side:
     A table assigned to ``table`` before any fact is read drives every fact.
     """
 
-    def __init__(self, g: Groupoid, name: str, cap, product_cap):
+    def __init__(self, g: Groupoid, name: str, cap):
         self.g = g
         self.name = name
-        self.caps = (cap, product_cap)
+        self.cap = cap
 
     @cached_property
     def table(self):
-        return enumerate_monoid(self.g, self.name, *self.caps)
+        return enumerate_monoid(self.g, self.name, self.cap)
 
     @cached_property
     def special(self):
@@ -170,9 +169,9 @@ class _Ctx:
     since the operator audit reads them from the tables it is given.
     """
 
-    def __init__(self, g: Groupoid, cap, product_cap):
+    def __init__(self, g: Groupoid, cap):
         self.g = g
-        self.sides = tuple(_Side(g, name, cap, product_cap) for name in SIDES)
+        self.sides = tuple(_Side(g, name, cap) for name in SIDES)
 
     @cached_property
     def sigma(self):
@@ -404,14 +403,13 @@ def full_report(
     g: Groupoid,
     checks: tuple[str, ...] | None = None,
     cap: int = DEFAULT_MONOID_CAP,
-    product_cap: int = DEFAULT_PRODUCT_CAP,
 ) -> StructureReport:
     """Run the selected checks (default: all) and assemble the report."""
     selected = CHECK_IDS if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in _CHECKS]
     if unknown:
         raise ShapeError(f"unknown check ids: {unknown}")
-    ctx = _Ctx(g, cap, product_cap)
+    ctx = _Ctx(g, cap)
     verdicts = {cid: _CHECKS[cid](ctx) for cid in CHECK_IDS if cid in selected}
     s = ctx.sides[0]
     return StructureReport(

@@ -1,12 +1,14 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gpd import corpus
+from gpd import census, corpus, endo
 from gpd.census import (
     Census,
+    Isomorphism,
     _complete_products,
     _fingerprints,
     _groups,
@@ -16,16 +18,17 @@ from gpd.census import (
     enumerate_groupoids,
     functoriality_audit,
     groupoid_from_canonical,
-    induced_gfun,
     intersection_size,
     isomorphic,
     monoid_iso_audit,
     principal_converse_search,
     transformation_embedding_audit,
 )
-from gpd.endo import gfun, iter_monoid_maps, monoid_maps_array, star
+from gpd.endo import GFun, enumerate_monoid, gfun, iter_monoid_maps, monoid_maps_array, star
 from gpd.errors import CapExceeded, NotAnIsomorphism
-from gpd.groupoid import Groupoid, disjoint_union, make_groupoid
+from gpd.groupoid import (Groupoid, disjoint_union, make_action, make_groupoid,
+                          transformation_groupoid)
+from gpd.operators import Verdict
 
 # ---------------------------------------------------------------------------
 # oracle 1: blind brute force over every (product, inverse) combination with
@@ -492,23 +495,63 @@ def test_as_isomorphism_rejects(c2, pair2):
 
 def test_identity_transport_is_identity(c3):
     iso = as_isomorphism(c3, c3, [0, 1, 2])
-    for m in iter_monoid_maps(c3, "S"):
-        f = gfun(c3, m)
-        assert induced_gfun(iso, f).map == m
+    for side in ("S", "S'"):
+        t = enumerate_monoid(c3, side)
+        assert census.transport(t, t, iso.carry).tolist() == list(range(len(t)))
 
 
-def test_monoid_iso_audit_automorphisms(c2, c3, pair2):
-    for g in (c2, c3, pair2):
+# oracle 6: transport from the definition, one position at a time, and the
+# product by scalar star over all pairs, on side S.
+
+
+def scalar_transport(iso: Isomorphism, m) -> GFun:
+    return gfun(iso.dst, [iso.map[m[iso.inverse_map[x]]] for x in iso.dst.elements()])
+
+
+def scalar_iso_audit(iso: Isomorphism) -> Verdict:
+    src = [gfun(iso.src, m) for m in iter_monoid_maps(iso.src, "S")]
+    dst = {m: k for k, m in enumerate(iter_monoid_maps(iso.dst, "S"))}
+    images = [scalar_transport(iso, f.map) for f in src]
+    for i, f in enumerate(images):
+        if not f.in_sg:
+            return Verdict(False, ("members", "S", i))
+    hits = Counter(f.map for f in images)
+    for m, k in dst.items():
+        if hits[m] != 1:
+            return Verdict(False, ("bijective", "S", k))
+    e = src.index(gfun(iso.src, iso.src.range_map))
+    if images[e].map != iso.dst.range_map:
+        return Verdict(False, ("identity", "S", e))
+    for i, j in itertools.product(range(len(src)), repeat=2):
+        if scalar_transport(iso, star(src[i], src[j]).map) != star(images[i], images[j]):
+            return Verdict(False, ("products", "S", i, j))
+    return Verdict(True)
+
+
+def test_array_audit_matches_the_scalar_oracle(c2, c3, pair2):
+    # each swap of two elements is a bijection but no isomorphism, and fails on side S
+    for g, swap in ((c2, (1, 0)), (c3, (1, 0, 2)), (pair2, (1, 0, 2, 3)), (pair2, (0, 1, 3, 2))):
+        autos = automorphisms(g)
+        isos = [as_isomorphism(g, g, sigma) for sigma in autos] + [Isomorphism(g, g, swap, swap)]
+        for iso in isos:
+            expected = scalar_iso_audit(iso)
+            assert expected.passed is (iso.map in autos)
+            assert monoid_iso_audit(iso) == expected, (g.name, iso.map)
+
+
+def test_monoid_iso_audit_automorphisms(small_corpus):
+    # both sides of the table-sized corpus members and the census through order 4
+    pool = [g for _, g in small_corpus]
+    pool += [g for order in range(1, 5) for g in enumerate_groupoids(order).representatives]
+    for g in pool:
         for sigma in automorphisms(g):
-            audit = monoid_iso_audit(as_isomorphism(g, g, sigma))
-            assert audit.passed, (g.name, sigma)
+            assert monoid_iso_audit(as_isomorphism(g, g, sigma)) == Verdict(True), (g.name, sigma)
 
 
 def test_monoid_iso_audit_relabeling(c2):
     relabeled = _shift_relabel(c2)
     iso = as_isomorphism(c2, relabeled, [1, 0])
-    audit = monoid_iso_audit(iso)
-    assert audit.passed
+    assert monoid_iso_audit(iso) == scalar_iso_audit(iso) == Verdict(True)
 
 
 def test_functoriality(c3, pair2):
@@ -518,19 +561,54 @@ def test_functoriality(c3, pair2):
             i1 = as_isomorphism(g, g, s1)
             for s2 in autos:
                 i2 = as_isomorphism(g, g, s2)
-                assert functoriality_audit(i1, i2)
+                assert functoriality_audit(i1, i2) == Verdict(True)
         # an automorphism composed with its inverse transports trivially
         for s1 in autos:
             i1 = as_isomorphism(g, g, s1)
-            back = [0] * g.size
-            for x, v in enumerate(s1):
-                back[v] = x
-            i2 = as_isomorphism(g, g, back)
-            comp_ok = functoriality_audit(i1, i2)
-            assert comp_ok
+            i2 = as_isomorphism(g, g, i1.inverse_map)
+            assert functoriality_audit(i1, i2) == Verdict(True)
             for m in iter_monoid_maps(g, "S"):
-                f = gfun(g, m)
-                assert induced_gfun(i2, induced_gfun(i1, f)).map == m
+                assert scalar_transport(i2, scalar_transport(i1, m).map).map == m
+
+
+def _swap_two_entries(monkeypatch) -> list:
+    """Make census.transport swap the last two non-identity entries of pi;
+    returns the list of every pi it hands out."""
+    real, handed = census.transport, []
+
+    def swapped(ts, th, image):
+        pi = real(ts, th, image).copy()
+        a, b = [i for i in range(len(pi)) if i != ts.identity][-2:]
+        pi[[a, b]] = pi[[b, a]]
+        handed.append(pi)
+        return pi
+
+    monkeypatch.setattr(census, "transport", swapped)
+    return handed
+
+
+def test_audits_catch_a_swapped_transport(c3, monkeypatch):
+    iso = as_isomorphism(c3, c3, [0, 2, 1])
+    handed = _swap_two_entries(monkeypatch)
+    verdict = monoid_iso_audit(iso)
+    pi = handed[0]
+    assert verdict.passed is False and verdict.witness[:2] == ("products", "S")
+    # the witness replays through scalar star: pi breaks the law at (i, j)
+    # while transport from the definition keeps it
+    i, j = verdict.witness[2:]
+    ts = enumerate_monoid(c3, "S")
+    f, h = (gfun(c3, ts.maps[k].tolist()) for k in (i, j))
+    fh = star(f, h)
+    member = lambda k: gfun(c3, ts.maps[pi[k]].tolist())
+    assert member(int(ts.rank([fh.map])[0])) != star(member(i), member(j))
+    carried = [scalar_transport(iso, m) for m in (fh.map, f.map, h.map)]
+    assert carried[0] == star(carried[1], carried[2])
+
+    verdict = functoriality_audit(iso, iso)
+    assert verdict.passed is False and verdict.witness[:2] == ("functoriality", "S")
+    m = tuple(ts.maps[verdict.witness[2]].tolist())
+    # transport along the composite, the identity, fixes m
+    assert scalar_transport(iso, scalar_transport(iso, m).map).map == m
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +616,25 @@ def test_functoriality(c3, pair2):
 
 
 def test_embedding_audit_swap_action():
-    audit = transformation_embedding_audit(corpus.swap_action())
-    assert audit.monoid_size == 4
-    assert audit.passed, audit
+    assert transformation_embedding_audit(corpus.swap_action()) == Verdict(True)
+
+
+def test_embedding_audit_catches_a_swapped_transport(monkeypatch):
+    action = corpus.swap_action()
+    t, g = action.group, transformation_groupoid(action)
+    tt, tg = enumerate_monoid(t, "S"), enumerate_monoid(g, "S")
+    handed = _swap_two_entries(monkeypatch)
+    verdict = transformation_embedding_audit(action)
+    assert verdict.passed is False and verdict.witness[:2] == ("products", "S")
+    i, j = verdict.witness[2:]
+    (pi,) = handed
+    member = lambda k: gfun(g, tg.maps[pi[k]].tolist())
+    phi = star(*(gfun(t, tt.maps[k].tolist()) for k in (i, j)))
+    assert member(int(tt.rank([phi.map])[0])) != star(member(i), member(j))
 
 
 def test_embedding_constant_identity_is_range_map():
     action = corpus.swap_action()
-    from gpd.groupoid import transformation_groupoid
-
     g = transformation_groupoid(action)
     t = action.group
     e = t.units[0]
@@ -560,9 +648,18 @@ def test_embedding_constant_identity_is_range_map():
     assert star(f, f).map == f.map
 
 
-def test_embedding_cap():
-    with pytest.raises(CapExceeded):
-        transformation_embedding_audit(corpus.swap_action(), cap=3)
+def test_embedding_cap(monkeypatch):
+    # C6 has 6^6 = 46656 self-maps, so its table would need 46656^2 products
+    action = make_action(corpus.cyclic(6), 1, [[0] * 6])
+
+    def no_work(*args):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(endo, "monoid_maps_array", no_work)
+    monkeypatch.setattr(census, "transformation_groupoid", no_work)
+    with pytest.raises(CapExceeded) as err:
+        transformation_embedding_audit(action)
+    assert err.value.predicted == 46656 ** 2
 
 
 # ---------------------------------------------------------------------------

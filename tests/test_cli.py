@@ -113,15 +113,14 @@ def test_verify_unknown_prop(tmp_path):
     assert run(["verify", path, "--props", "P9.9"]) == 2
 
 
-@pytest.mark.parametrize("props", [",", " ", " , "])
+@pytest.mark.parametrize("props", ["", ",", " ", " , "])
 def test_verify_selection_naming_no_id(tmp_path, capsys, props):
     path = write_c2(tmp_path)
     assert run(["verify", path, "--props", props]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "names no check id" in err
-    for full in ("", "all"):
-        assert run(["verify", path, "--props", full]) == 0
-        assert len(json.loads(capsys.readouterr().out)["checks"]) == 18
+    assert run(["verify", path, "--props", "all"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 18
 
 
 def test_verify_text_format(tmp_path, capsys):
@@ -207,6 +206,13 @@ def test_search_census_dir_builds_each_census_once(tmp_path, monkeypatch):
     assert calls == {1: 1, 2: 1, 3: 1}
     assert run(["search", "--order", 3, "-o", tmp_path / "without.json"]) == 0
     assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_search_order_below_one(capsys, order):
+    assert run(["search", "--order", order]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"order must be >= 1, got {order}" in err
 
 
 def test_search_cap(capsys):

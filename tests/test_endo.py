@@ -14,7 +14,6 @@ from gpd.endo import (
     _certificate,
     _product_columns,
     _radix,
-    canonical_elements,
     enumerate_monoid,
     gfun,
     involution_indices,
@@ -28,7 +27,6 @@ from gpd.endo import (
     right_translation,
     star,
     star_prime,
-    translation_maps,
 )
 from gpd.errors import BaseMismatch, CapExceeded, MembershipError, ShapeError
 from gpd.groupoid import UNDEFINED
@@ -147,19 +145,6 @@ def test_involution_is_isomorphism_on_small(c2, pair2):
             assert lhs.map == rhs.map
 
 
-def test_canonical_elements(pair2, c2):
-    triple = canonical_elements(pair2)
-    assert triple.r.in_sg and triple.d.in_spg
-    assert triple.j.in_sg and triple.j.in_spg
-    # pair(2): j swaps (0,1) <-> (1,0) and fixes the units
-    assert triple.j.map == (0, 2, 1, 3)
-    # C2 and the unit groupoid: j is the identity map
-    assert canonical_elements(c2).j.map == (0, 1)
-    u2 = corpus.unit_groupoid(2)
-    t = canonical_elements(u2)
-    assert t.r.map == t.d.map == t.j.map == (0, 1)
-
-
 def test_translations(c2, pair2):
     r = gfun(c2, c2.range_map)
     assert left_translation(r) == (0, 1)  # identity on G
@@ -167,8 +152,6 @@ def test_translations(c2, pair2):
     assert left_translation(j) == tuple(pair2.domain_map)
     const_a = gfun(c2, (1, 1))
     assert left_translation(const_a) == (1, 0)  # the swap
-    tr = translation_maps(const_a)
-    assert tr.lmap == (1, 0) and tr.rmap == (1, 0)
     with pytest.raises(MembershipError):
         left_translation(gfun(pair2, [1, 1, 1, 1]))
 
@@ -239,12 +222,19 @@ def test_unit_groupoid_monoid_is_trivial():
             assert t.op.tolist() == [[0]] and t.identity == 0
 
 
-def test_cap_exceeded(c3):
+def test_cap_exceeded(c3, pair3, monkeypatch):
     with pytest.raises(CapExceeded) as err:
         enumerate_monoid(c3, "S", cap=10)
     assert err.value.predicted == 27
-    with pytest.raises(CapExceeded):
-        enumerate_monoid(c3, "S", product_cap=100)
+
+    def no_work(*args):
+        raise AssertionError("work started before the cap was checked")
+
+    # pair(3): 19683 members fit the monoid cap, their table's 19683^2 products do not
+    monkeypatch.setattr(endo, "monoid_maps_array", no_work)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_monoid(pair3, "S")
+    assert err.value.predicted == 387420489
 
 
 def members(t):

@@ -11,7 +11,6 @@ from gpd import cli, corpus, io
 from gpd.census import enumerate_groupoids, principal_converse_search
 from gpd.endo import (
     DEFAULT_MONOID_CAP,
-    DEFAULT_PRODUCT_CAP,
     SIDES,
     enumerate_monoid,
     gfun,
@@ -254,7 +253,7 @@ def test_report_enumerates_only_what_checks_read(c2, monkeypatch):
 
 def test_p311_catches_involution_fault(c2):
     # C2: the units of S are 0 and 3; member 1 (= j) of S' is not dense
-    ctx = _Ctx(c2, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    ctx = _Ctx(c2, DEFAULT_MONOID_CAP)
     assert gpd.report._check_p311(ctx).passed
     assert ctx.sides[0].tg.indices == (0, 3) and 1 not in ctx.sides[1].tg.indices
     ctx.sigma = ctx.sigma.copy()
@@ -275,7 +274,7 @@ def test_p311_units_come_from_the_table(c2, monkeypatch):
 
 def test_closing_fails_when_the_intersection_misses_a_member(c2):
     # C2 is not principal, so only the closed form |S n S'| = 4 catches it
-    ctx = _Ctx(c2, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    ctx = _Ctx(c2, DEFAULT_MONOID_CAP)
     assert gpd.report._check_closing(ctx).passed
     ctx.inter = dataclasses.replace(ctx.inter, indices=ctx.inter.indices[:-1])
     assert gpd.report._check_closing(ctx) == Verdict(False, ("enumerated", 3, "closed form", 4))
@@ -291,7 +290,7 @@ def _corrupt(t, i, j):
 def _corrupted_ctx(g, side, i, j):
     """A report context whose table on ``side`` has cell (i, j) moved before
     any check reads it."""
-    ctx = _Ctx(g, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    ctx = _Ctx(g, DEFAULT_MONOID_CAP)
     s = ctx.sides[SIDES.index(side)]
     s.table = _corrupt(s.table, i, j)
     return ctx
@@ -381,7 +380,7 @@ def test_antihom_witnesses_replay_on_the_scalar_reference(c3):
 
 def _replaced_map_ctx(g, side, i, row):
     """A report context whose table on ``side`` has map i replaced by ``row``."""
-    ctx = _Ctx(g, DEFAULT_MONOID_CAP, DEFAULT_PRODUCT_CAP)
+    ctx = _Ctx(g, DEFAULT_MONOID_CAP)
     s = ctx.sides[SIDES.index(side)]
     maps = s.table.maps.copy()
     maps[i] = row
