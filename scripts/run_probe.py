@@ -4,6 +4,10 @@
 Usage:
   python scripts/run_probe.py --max-order 5
   python scripts/run_probe.py --max-order 6 -o probe.json
+
+Exits 1 when the forward implication fails, and 2 with one ``error:`` line
+on stderr for an order outside the census (below 1 or above its cap), as
+``gpd search`` does.
 """
 
 import argparse
@@ -11,6 +15,7 @@ import sys
 import time
 
 from gpd.census import principal_converse_search
+from gpd.errors import OperationalError
 from gpd.io import probe_to_dict, write_json
 
 
@@ -21,7 +26,11 @@ def main():
     args = ap.parse_args()
 
     t0 = time.time()
-    report = principal_converse_search(args.max_order)
+    try:
+        report = principal_converse_search(args.max_order)
+    except OperationalError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     elapsed = time.time() - t0
 
     header = "intersect"

@@ -4,7 +4,6 @@ Groupoid file:     {"name": str, "size": n, "product": [[int|-1]xn]xn,
                     "inverse": [int]xn}          (-1 marks undefined)
 Action file:       {"group": <groupoid object>, "space": m,
                     "act": [[int]x|T|]xm}
-Member file:       {"groupoid": <name or inline object>, "map": [int]xn}
 Monoid export:     {"side": "S"|"S'", "elements": [[int]xn...],
                     "identity": i, "op": [[int]]}
 Operator export:   {"fn": [int]xn, "matrix": [[0|1]xn]xn}
@@ -27,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .census import Census, ProbeReport
-from .endo import GFun, MonoidTable, gfun
+from .endo import MonoidTable
 from .errors import ShapeError
 from .groupoid import GroupAction, Groupoid, GroupoidSpec, build_groupoid, make_action
 from .operators import LinOp
@@ -150,25 +149,7 @@ def save_action(path, a: GroupAction):
 
 
 # ---------------------------------------------------------------------------
-# members, monoids, operators
-
-
-def gfun_to_dict(f: GFun, inline: bool = False) -> dict:
-    ref = groupoid_to_dict(f.base) if inline or not f.base.name else f.base.name
-    return {"groupoid": ref, "map": list(f.map)}
-
-
-def gfun_from_dict(obj: Any, base: Groupoid | None = None) -> GFun:
-    if not isinstance(obj, dict) or "map" not in obj:
-        raise ShapeError("member object must contain a map")
-    ref = obj.get("groupoid")
-    if isinstance(ref, dict):
-        base = groupoid_from_dict(ref)
-    elif base is None:
-        raise ShapeError(f"member references groupoid {ref!r} but none was supplied")
-    elif isinstance(ref, str) and base.name and ref != base.name:
-        raise ShapeError(f"member references {ref!r}, expected {base.name!r}")
-    return gfun(base, [int(v) for v in obj["map"]])
+# monoids, operators
 
 
 def monoid_to_dict(t: MonoidTable) -> dict:

@@ -2,9 +2,12 @@
 
 ``full_report`` runs the selected checks over a lazily filled context: one
 object per side holds its table and each fact read off it, so a monoid is
-enumerated only when a check reads it and each fact is computed once.  It
-produces a ``StructureReport``: the structural index sets (side S) plus
-one verdict per check id.  The ids below are the stable names used in report files and
+enumerated only when a check reads it and each fact is computed once.  Each
+claim is decided in ``structure`` or ``operators``, which return a
+``Verdict``; a check here adds the side name to a failing witness, or
+compares index sets and masks.  ``full_report`` produces a
+``StructureReport``: the structural index sets (side S) plus one verdict
+per check id.  The ids below are the stable names used in report files and
 on the command line (see the README table for what each one verifies):
 
     P3.2     monoid laws on both sides; the involution is an isomorphism
@@ -49,7 +52,7 @@ from .endo import (
     star_prime,
 )
 from .errors import NotASubgroupoid, ShapeError
-from .groupoid import Groupoid
+from .groupoid import Groupoid, is_principal
 from .operators import Verdict, representation_audit
 from .structure import (
     antihom_classification,
@@ -152,7 +155,7 @@ class _Side:
 
     @cached_property
     def h1(self):
-        return group_of_units(self.g, self.table, self.bijective)
+        return group_of_units(self.table, self.bijective)
 
     @cached_property
     def tg(self):
@@ -180,12 +183,12 @@ class _Ctx:
 
     @cached_property
     def inter(self):
-        return intersection_analysis(self.g, self.sides[0].table)
+        return intersection_analysis(self.sides[0].table)
 
     @cached_property
     def antihoms(self):
         s = self.sides[0]
-        return antihom_classification(self.g, s.table, s.special)
+        return antihom_classification(s.table, s.special)
 
     @cached_property
     def rep_verdicts(self):
@@ -230,14 +233,14 @@ def _check_p331(ctx: _Ctx) -> Verdict:
 
 def _check_p332(ctx: _Ctx) -> Verdict:
     for side in ctx.sides:
-        v = left_zero_criterion(ctx.g, side.table)
-        if not v.equivalence_holds:
+        v = left_zero_criterion(side.table)
+        if not v.passed:
             return Verdict(False, (side.name, v.witness))
     return Verdict(True)
 
 
 def _check_p333(ctx: _Ctx) -> Verdict:
-    inter = list(ctx.inter.indices)
+    inter = list(ctx.inter)
     for side, sub in zip(ctx.sides, (inter, ctx.sigma[inter])):
         if not left_ideal(side.table, sub):
             return Verdict(False, (side.name,))
@@ -251,24 +254,9 @@ def _check_p334(ctx: _Ctx) -> Verdict:
     return Verdict(True)
 
 
-def _check_p335(ctx: _Ctx) -> Verdict:
-    v = ctx.antihoms
-    return Verdict(v.bijective_inverses_in_mirror, v.witness)
-
-
-def _check_p336(ctx: _Ctx) -> Verdict:
-    v = ctx.antihoms
-    return Verdict(v.only_j_rule_six, v.injective_idempotent_antihoms)
-
-
-def _check_p337(ctx: _Ctx) -> Verdict:
-    v = ctx.antihoms
-    return Verdict(v.only_j_rule_seven, v.right_zero_antihoms)
-
-
 def _check_p338(ctx: _Ctx) -> Verdict:
-    ts, anti = ctx.sides[0].table, ctx.antihoms.antihom_flags
-    for i in ctx.inter.indices:
+    ts, anti = ctx.sides[0].table, ctx.antihoms[0]
+    for i in ctx.inter:
         if anti[i]:  # the scalar replay, on the antihomomorphisms only
             f = gfun(ctx.g, ts.maps[i].tolist())
             if star(f, f).map != star_prime(f, f).map:
@@ -287,11 +275,9 @@ def _check_l37(ctx: _Ctx) -> Verdict:
 
 def _check_p38(ctx: _Ctx) -> Verdict:
     for side in ctx.sides:
-        if not side.h1.verified:
-            return Verdict(False, (side.name, side.h1.witness))
-        cross = units_crosscheck(side.h1, side.units)
-        if not cross.agrees:
-            return Verdict(False, (side.name, cross.witness))
+        for v in (side.h1[1], units_crosscheck(side.bijective[0], side.units)):
+            if not v.passed:
+                return Verdict(False, (side.name, v.witness))
     return Verdict(True)
 
 
@@ -312,9 +298,9 @@ def _subgroupoids(g: Groupoid):
 def _check_p39(ctx: _Ctx) -> Verdict:
     subs, mode = _subgroupoids(ctx.g)
     for sub in subs:
-        repnt = subgroupoid_semigroup(ctx.g, sub, ctx.sides[0].table)
-        if not (repnt.closed and repnt.translation_agrees):
-            return Verdict(False, (sub, repnt.witness))
+        v = subgroupoid_semigroup(sub, ctx.sides[0].table)
+        if not v.passed:
+            return Verdict(False, (sub, v.witness))
     return Verdict(True, mode)
 
 
@@ -324,30 +310,26 @@ def _check_p310(ctx: _Ctx) -> Verdict:
         return Verdict(None, f"skipped: {count} intertwining maps exceed the sweep cap")
     for phi in iter_intertwining_maps(ctx.g):
         v = range_domain_criterion(ctx.g, phi)
-        if not v.equivalence_holds:
-            return Verdict(False, tuple(phi))
-        fixes = all(phi[u] == u for u in ctx.g.units)
-        if v.in_sg != fixes:
-            return Verdict(False, tuple(phi))
+        if not v.passed:
+            return v
     return Verdict(True)
 
 
 def _check_p311(ctx: _Ctx) -> Verdict:
     for side in ctx.sides:
-        tg = side.tg
-        if not (tg.closed and tg.contains_identity and tg.left_cancellative):
-            return Verdict(False, (side.name, tg.witness))
+        if not side.tg.passed:
+            return Verdict(False, (side.name, side.tg.witness))
         # at finite scale T_G is the unit group, read here from the table alone
-        stray = set(tg.indices) ^ set(side.units)
+        stray = set(side.bijective[0]) ^ set(side.units)
         if stray:
             return Verdict(False, (side.name, "units", min(stray)))
     # the involution carries T_G onto T_G', which was computed from the S' table
-    tg, tgp = (side.tg for side in ctx.sides)
-    mirror = set(tgp.indices)
-    for i in tg.indices:
+    tg, tgp = (side.bijective[0] for side in ctx.sides)
+    mirror = set(tgp)
+    for i in tg:
         if int(ctx.sigma[i]) not in mirror:
             return Verdict(False, ("involution", "S", i))
-    missed = mirror - {int(ctx.sigma[i]) for i in tg.indices}
+    missed = mirror - {int(ctx.sigma[i]) for i in tg}
     if missed:
         return Verdict(False, ("involution", "S'", min(missed)))
     return Verdict(True)
@@ -367,12 +349,12 @@ def _check_c43(ctx: _Ctx) -> Verdict:
 
 def _check_closing(ctx: _Ctx) -> Verdict:
     # the intersection enumerated from side S against the product of hom-set sizes
-    v = ctx.inter
     size, _ = intersection_size(ctx.g)
-    if len(v.indices) != size:
-        return Verdict(False, ("enumerated", len(v.indices), "closed form", size))
-    return Verdict(v.forward_implication_holds,
-                   ("principal", v.principal, "only_j", v.equals_j_only))
+    if len(ctx.inter) != size:
+        return Verdict(False, ("enumerated", len(ctx.inter), "closed form", size))
+    principal = is_principal(ctx.g)
+    only_j = ctx.inter == (j_index(ctx.sides[0].table),)
+    return Verdict(not principal or only_j, ("principal", principal, "only_j", only_j))
 
 
 _CHECKS = {
@@ -381,9 +363,9 @@ _CHECKS = {
     "P3.3.2": _check_p332,
     "P3.3.3": _check_p333,
     "P3.3.4": _check_p334,
-    "P3.3.5": _check_p335,
-    "P3.3.6": _check_p336,
-    "P3.3.7": _check_p337,
+    "P3.3.5": lambda ctx: ctx.antihoms[1],
+    "P3.3.6": lambda ctx: ctx.antihoms[2],
+    "P3.3.7": lambda ctx: ctx.antihoms[3],
     "P3.3.8": _check_p338,
     "L3.7": _check_l37,
     "P3.8": _check_p38,
@@ -418,10 +400,10 @@ def full_report(
         idempotent_indices=s.special.idempotents,
         right_zero_indices=s.special.right_zeros,
         left_zero_indices=s.special.left_zeros,
-        unit_group_indices=s.h1.indices,
-        unit_group_inverse=s.h1.inverse,
-        tg_indices=s.tg.indices,
+        unit_group_indices=s.bijective[0],
+        unit_group_inverse=s.h1[0],
+        tg_indices=s.bijective[0],
         j_ideal_indices=j_ideal(s.table),
-        intersection_indices=ctx.inter.indices,
+        intersection_indices=ctx.inter,
         verdicts=verdicts,
     )

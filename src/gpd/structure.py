@@ -10,8 +10,10 @@ members.  Member facts are read off the table's arrays: member i is row i
 of ``maps`` and of ``trans``, and ``MonoidTable.rank`` numbers any stack of
 maps.  A fact that several operations share (the special elements, the
 bijective-translation set and its closure, the left-cancellative mask) is
-passed in by the caller, which computes it once per table.  Verdicts carry
-witnesses so a failure is reproducible from the report alone.
+passed in by the caller, which computes it once per table.  A function that
+decides a claim returns one ``Verdict`` whose witness makes a failure
+reproducible from the report alone; one that computes a set returns member
+indices or a mask.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed, ShapeError
-from .groupoid import UNDEFINED, Groupoid, is_principal
+from .groupoid import UNDEFINED, Groupoid
 from .endo import MonoidTable, membership
+from .operators import Verdict
 
 
 def j_index(t: MonoidTable) -> int:
@@ -34,11 +37,11 @@ def j_index(t: MonoidTable) -> int:
     return j
 
 
-def _in_mirror(g: Groupoid, side: str, maps: np.ndarray) -> np.ndarray:
+def _in_mirror(t: MonoidTable, maps: np.ndarray) -> np.ndarray:
     """Whether each row of a (T, n) stack of maps lies on the side other than
-    ``side``: r(f(x)) = d(x) for S', d(f(x)) = r(x) for S."""
-    rm, dm = np.asarray(g.range_map), np.asarray(g.domain_map)
-    return ((rm[maps] == dm) if side == "S" else (dm[maps] == rm)).all(axis=1)
+    ``t.side``: r(f(x)) = d(x) for S', d(f(x)) = r(x) for S."""
+    rm, dm = np.asarray(t.groupoid.range_map), np.asarray(t.groupoid.domain_map)
+    return ((rm[maps] == dm) if t.side == "S" else (dm[maps] == rm)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -58,31 +61,15 @@ def special_elements(t: MonoidTable) -> SpecialElements:
     return SpecialElements(tuple(map(int, idem)), tuple(map(int, right)), tuple(map(int, left)))
 
 
-@dataclass(frozen=True)
-class LeftZeroVerdict:
-    j_is_left_zero: bool
-    all_maps_fix_units: bool
-    equivalence_holds: bool
-    witness: tuple | None
-
-
-def left_zero_criterion(g: Groupoid, t: MonoidTable) -> LeftZeroVerdict:
+def left_zero_criterion(t: MonoidTable) -> Verdict:
     """j is a left zero exactly when every member fixes every unit; both
-    sides of the equivalence are computed independently."""
+    sides of the equivalence are computed independently.  The witness is the
+    first (member, unit) the member moves, or None."""
     j = j_index(t)
-    j_left = bool((t.op[j] == j).all())
-    units = list(g.units)
+    units = list(t.groupoid.units)
     moved = np.argwhere(t.maps[:, units] != units)
     witness = (int(moved[0, 0]), units[moved[0, 1]]) if len(moved) else None
-    fix = witness is None
-    return LeftZeroVerdict(j_left, fix, j_left == fix, witness)
-
-
-@dataclass(frozen=True)
-class IdealVerdict:
-    left_ideal: bool
-    right_ideal: bool
-    ideal: bool
+    return Verdict(bool((t.op[j] == j).all()) == (witness is None), witness)
 
 
 def left_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
@@ -96,12 +83,10 @@ def left_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
     return bool(mask[t.op[:, mask]].all())
 
 
-def ideal_check(t: MonoidTable, subset: Sequence[int]) -> IdealVerdict:
-    """Left, right and two-sided ideal membership by table scan; I is a
-    right ideal of S exactly when it is a left ideal of the opposite monoid."""
-    left = left_ideal(t, subset)
-    right = left_ideal(replace(t, op=t.op.T), subset)
-    return IdealVerdict(left, right, left and right)
+def ideal_check(t: MonoidTable, subset: Sequence[int]) -> bool:
+    """Whether a subset is a two-sided ideal, by table scan; I is a right
+    ideal of S exactly when it is a left ideal of the opposite monoid."""
+    return left_ideal(t, subset) and left_ideal(replace(t, op=t.op.T), subset)
 
 
 def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
@@ -112,7 +97,7 @@ def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
     S x S is marked from the distinct values of x S, which lie in T.
     """
     sub = [int(i) for i in subset]
-    if not ideal_check(t, sub).ideal:
+    if not ideal_check(t, sub):
         return False
     members = np.zeros(len(t), dtype=bool)
     members[sub] = True
@@ -127,14 +112,6 @@ def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
 def j_ideal(t: MonoidTable) -> tuple[int, ...]:
     """The two-sided ideal j S (or j S' on the mirror side)."""
     return tuple(sorted(set(int(v) for v in t.op[j_index(t)])))
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    indices: tuple[int, ...]
-    inverse: dict[int, int]
-    verified: bool
-    witness: tuple | None
 
 
 def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:
@@ -152,9 +129,10 @@ def bijective_translations(t: MonoidTable) -> tuple[tuple[int, ...], bool]:
     return indices, _closed(t, indices)
 
 
-def group_of_units(g: Groupoid, t: MonoidTable,
-                   bijective: tuple[tuple[int, ...], bool]) -> UnitGroup:
-    """H(1) = members whose left translation is a bijection of G.
+def group_of_units(t: MonoidTable,
+                   bijective: tuple[tuple[int, ...], bool]) -> tuple[dict[int, int], Verdict]:
+    """The inverses in H(1) = members whose left translation is a bijection
+    of G, and whether they verify.
 
     ``bijective`` is ``bijective_translations(t)``.  For each member the
     inverse is constructed pointwise from the translation:
@@ -164,27 +142,21 @@ def group_of_units(g: Groupoid, t: MonoidTable,
     """
     indices, closed = bijective
     rows = list(indices)
-    psi = np.take_along_axis(np.asarray(g.inverse)[t.maps[rows]],  # psi(phi(x) x) = phi(x)^-1
+    psi = np.take_along_axis(np.asarray(t.groupoid.inverse)[t.maps[rows]],  # psi(phi(x) x) = phi(x)^-1
                              np.argsort(t.trans[rows], axis=1), axis=1)
-    inverse, witness, verified = {}, None, True
+    inverse, witness = {}, None
     for i, k in zip(indices, t.rank(psi).tolist()):
         if k < 0:
-            verified, witness = False, (i, "inverse not a member")
+            witness = (i, "inverse not a member")
             continue
         inverse[i] = k
         if t.mul(i, k) != t.identity or t.mul(k, i) != t.identity:
-            verified, witness = False, (i, k)
+            witness = (i, k)
     if not closed:
-        verified, witness = False, ("closure",)
+        witness = ("closure",)
     if t.identity not in indices:
-        verified, witness = False, ("identity missing",)
-    return UnitGroup(indices, inverse, verified, witness)
-
-
-@dataclass(frozen=True)
-class CrossCheck:
-    agrees: bool
-    witness: tuple | None
+        witness = ("identity missing",)
+    return inverse, Verdict(witness is None, witness)
 
 
 def cayley_units(t: MonoidTable) -> tuple[int, ...]:
@@ -193,11 +165,11 @@ def cayley_units(t: MonoidTable) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero((m & m.T).any(axis=1)))
 
 
-def units_crosscheck(h1: UnitGroup, invertible: Sequence[int]) -> CrossCheck:
+def units_crosscheck(indices: Sequence[int], invertible: Sequence[int]) -> Verdict:
     """Compare H(1) with the table's two-sided-invertible set (``cayley_units``);
     this is the maximality claim at testable level."""
-    stray = tuple(sorted(set(invertible) ^ set(h1.indices)))
-    return CrossCheck(not stray, stray or None)
+    stray = tuple(sorted(set(invertible) ^ set(indices)))
+    return Verdict(not stray, stray or None)
 
 
 def left_cancellative(t: MonoidTable) -> np.ndarray:
@@ -208,22 +180,17 @@ def left_cancellative(t: MonoidTable) -> np.ndarray:
     return hit.all(axis=1)
 
 
-@dataclass(frozen=True)
-class DenseSubmonoid:
-    indices: tuple[int, ...]
-    closed: bool
-    contains_identity: bool
-    left_cancellative: bool
-    witness: tuple | None
-
-
 def dense_submonoid(t: MonoidTable, bijective: tuple[tuple[int, ...], bool],
-                    cancellative: np.ndarray) -> DenseSubmonoid:
-    """Members whose translation image is dense, i.e. all of G at finite
-    discrete scale, from ``bijective_translations(t)``.  Verifies closure,
-    the identity and exhaustive left cancellativity, read from the mask
-    ``left_cancellative(t)``; the report matches the set with its mirror
-    through the involution."""
+                    cancellative: np.ndarray) -> Verdict:
+    """Whether the members whose translation image is dense, i.e. all of G at
+    finite discrete scale, form a left-cancellative submonoid.
+
+    The set is ``bijective_translations(t)``; closure, the identity and
+    exhaustive left cancellativity, read from the mask
+    ``left_cancellative(t)``, are verified.  The witness is the first
+    cancellation failure as (member, j, k) with equal products at columns
+    j < k; the report matches the set with its mirror through the involution.
+    """
     indices, closed = bijective
     cancellative = cancellative[list(indices)]
     witness = None
@@ -234,7 +201,7 @@ def dense_submonoid(t: MonoidTable, bijective: tuple[tuple[int, ...], bool],
         repeat[np.unique(row, return_index=True)[1]] = False
         k = int(np.argmax(repeat))
         witness = (i, int(np.argmax(row == row[k])), k)
-    return DenseSubmonoid(indices, closed, t.identity in indices, witness is None, witness)
+    return Verdict(closed and t.identity in indices and witness is None, witness)
 
 
 def validate_subgroupoid(g: Groupoid, a: Sequence[int]) -> tuple[int, ...]:
@@ -255,55 +222,37 @@ def validate_subgroupoid(g: Groupoid, a: Sequence[int]) -> tuple[int, ...]:
     return tuple(sub)
 
 
-@dataclass(frozen=True)
-class SubgroupoidSemigroup:
-    subgroupoid: tuple[int, ...]
-    indices: tuple[int, ...]
-    closed: bool
-    translation_agrees: bool
-    witness: tuple | None
-
-
-def subgroupoid_semigroup(g: Groupoid, a: Sequence[int], t: MonoidTable) -> SubgroupoidSemigroup:
-    """Members mapping a subgroupoid A into itself form a subsemigroup.
+def subgroupoid_semigroup(a: Sequence[int], t: MonoidTable) -> Verdict:
+    """Whether the members mapping a subgroupoid A into itself form a
+    subsemigroup.
 
     Also verifies the auxiliary fact the closure argument rests on: a member
-    preserves A exactly when its translation map does.
+    preserves A exactly when its translation map does; the witness is the
+    first member where the two disagree, as (member,).
     """
-    sub = validate_subgroupoid(g, a)
-    in_sub = np.zeros(g.size, dtype=bool)
+    sub = validate_subgroupoid(t.groupoid, a)
+    in_sub = np.zeros(t.groupoid.size, dtype=bool)
     in_sub[list(sub)] = True
     preserves = in_sub[t.maps[:, sub]].all(axis=1)
-    indices = tuple(int(i) for i in np.flatnonzero(preserves))
     mismatch = np.flatnonzero(preserves != in_sub[t.trans[:, sub]].all(axis=1))
     witness = (int(mismatch[0]),) if len(mismatch) else None
-    return SubgroupoidSemigroup(sub, indices, _closed(t, indices), witness is None, witness)
+    return Verdict(_closed(t, np.flatnonzero(preserves)) and witness is None, witness)
 
 
-@dataclass(frozen=True)
-class RangeDomainVerdict:
-    in_sg: bool
-    hits_every_unit: bool
-    equivalence_holds: bool
-
-
-def range_domain_criterion(g: Groupoid, phi: Sequence[int]) -> RangeDomainVerdict:
+def range_domain_criterion(g: Groupoid, phi: Sequence[int]) -> Verdict:
     """For maps intertwining d and r (d(phi(x)) = phi(r(x))): membership in
-    side S is equivalent to the image of every range-fiber meeting the
-    matching domain-fiber."""
+    side S, the image of every range-fiber meeting the matching domain-fiber,
+    and fixing every unit all agree.  The witness of a disagreement is phi."""
     if len(phi) != g.size or any(not 0 <= v < g.size for v in phi):
         raise ShapeError("phi must be a total self-map")
     for x in g.elements():
         if g.domain_map[phi[x]] != phi[g.range_map[x]]:
             raise PreconditionFailed(f"d(phi({x})) != phi(r({x}))")
     in_sg = membership(g, phi).in_sg
-    hits = True
-    for u in g.units:
-        image = {phi[x] for x in g.r_fibers[u]}
-        if not image & set(g.d_fibers[u]):
-            hits = False
-            break
-    return RangeDomainVerdict(in_sg, hits, in_sg == hits)
+    hits = all({phi[x] for x in g.r_fibers[u]} & set(g.d_fibers[u]) for u in g.units)
+    fixes = all(phi[u] == u for u in g.units)
+    agree = in_sg == hits == fixes
+    return Verdict(agree, None if agree else tuple(phi))
 
 
 def iter_intertwining_maps(g: Groupoid):
@@ -339,67 +288,37 @@ def count_intertwining_maps(g: Groupoid) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AntihomVerdicts:
-    injective_idempotent_antihoms: tuple[int, ...]
-    right_zero_antihoms: tuple[int, ...]
-    antihom_flags: tuple[bool, ...]
-    only_j_rule_six: bool
-    only_j_rule_seven: bool
-    bijective_inverses_in_mirror: bool
-    injective_idempotent_non_antihoms: tuple[int, ...]
-    witness: tuple | None
-
-
-def antihom_classification(g: Groupoid, t: MonoidTable, spec: SpecialElements) -> AntihomVerdicts:
+def antihom_classification(
+    t: MonoidTable, spec: SpecialElements,
+) -> tuple[np.ndarray, Verdict, Verdict, Verdict]:
     """Classify members that are antihomomorphisms of the base groupoid.
 
-    ``spec`` is ``special_elements(t)``.  Checks that j is the only injective
-    idempotent antihomomorphism and the only right-zero antihomomorphism,
-    and that the function inverse of each bijective member lands on the
-    mirror side.  Injective idempotents that are not antihomomorphisms are
-    recorded separately; ``antihom_flags[i]`` says whether member i is one.
+    ``spec`` is ``special_elements(t)``.  Returns the mask of
+    antihomomorphism members and three verdicts: the function inverse of
+    each bijective member lands on the mirror side (witness: the first
+    member whose inverse does not), j is the only injective idempotent
+    antihomomorphism, and j is the only right-zero antihomomorphism (each
+    witnessed by the members found).
     """
-    j = j_index(t)
+    g = t.groupoid
     P, M = np.asarray(g.product), t.maps
     xs, ys = np.nonzero(P != UNDEFINED)  # f(xy) = f(y) f(x) at every defined cell
-    anti_flags = tuple((P[M[:, ys], M[:, xs]] == M[:, P[xs, ys]]).all(axis=1).tolist())
+    anti = (P[M[:, ys], M[:, xs]] == M[:, P[xs, ys]]).all(axis=1)
 
     injective = (np.sort(t.maps, axis=1) == np.arange(g.size)).all(axis=1)
-    rule6 = tuple(i for i in spec.idempotents if injective[i] and anti_flags[i])
-    rule7 = tuple(i for i in spec.right_zeros if anti_flags[i])
-    extra = tuple(i for i in spec.idempotents if injective[i] and not anti_flags[i])
+    rule6 = tuple(i for i in spec.idempotents if injective[i] and anti[i])
+    rule7 = tuple(i for i in spec.right_zeros if anti[i])
 
     # the function inverse of a bijective member is back[f(x)] = x; on side
     # S it must lie in S' (r(back(x)) = d(x)), on side S' in S
-    stray = np.flatnonzero(injective & ~_in_mirror(g, t.side, np.argsort(t.maps, axis=1)))
+    stray = np.flatnonzero(injective & ~_in_mirror(t, np.argsort(t.maps, axis=1)))
     witness = (int(stray[0]),) if len(stray) else None
 
-    return AntihomVerdicts(
-        injective_idempotent_antihoms=rule6,
-        right_zero_antihoms=rule7,
-        antihom_flags=anti_flags,
-        only_j_rule_six=rule6 == (j,),
-        only_j_rule_seven=rule7 == (j,),
-        bijective_inverses_in_mirror=witness is None,
-        injective_idempotent_non_antihoms=extra,
-        witness=witness,
-    )
+    j = j_index(t)
+    return (anti, Verdict(witness is None, witness),
+            Verdict(rule6 == (j,), rule6), Verdict(rule7 == (j,), rule7))
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    indices: tuple[int, ...]
-    equals_j_only: bool
-    principal: bool
-    forward_implication_holds: bool
-
-
-def intersection_analysis(g: Groupoid, t: MonoidTable) -> IntersectionReport:
-    """S and S' intersected, as indices of the given table, together with
-    the principality flag and the one-way implication between them."""
-    inter = tuple(int(i) for i in np.flatnonzero(_in_mirror(g, t.side, t.maps)))
-    only_j = inter == (j_index(t),)
-    principal = is_principal(g)
-    forward = (not principal) or only_j
-    return IntersectionReport(inter, only_j, principal, forward)
+def intersection_analysis(t: MonoidTable) -> tuple[int, ...]:
+    """S and S' intersected, as indices of the given table."""
+    return tuple(int(i) for i in np.flatnonzero(_in_mirror(t, t.maps)))

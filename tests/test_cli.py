@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import gpd
 import gpd.report
 from gpd import census, cli, corpus, io
 from gpd.cli import main
@@ -217,6 +222,20 @@ def test_search_order_below_one(capsys, order):
 
 def test_search_cap(capsys):
     assert run(["search", "--order", 9]) == 2
+
+
+@pytest.mark.parametrize("order, message", [
+    (0, "order must be >= 1, got 0"),
+    (7, "order 7 exceeds census cap 6"),
+])
+def test_probe_script_order_outside_the_census(order, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_probe.py"
+    src = str(Path(gpd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, str(script), "--max-order", str(order)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
 
 
 def test_usage_error():

@@ -68,20 +68,6 @@ def test_action_round_trip(tmp_path):
     assert loaded.group == a.group
 
 
-def test_gfun_serialization(c2):
-    f = gfun(c2, (1, 1))
-    obj = io.gfun_to_dict(f)
-    assert obj == {"groupoid": "C2", "map": [1, 1]}
-    back = io.gfun_from_dict(obj, base=c2)
-    assert back.map == f.map
-    inline = io.gfun_to_dict(f, inline=True)
-    assert io.gfun_from_dict(inline).map == f.map
-    with pytest.raises(ShapeError):
-        io.gfun_from_dict({"groupoid": "other", "map": [0, 0]}, base=c2)
-    with pytest.raises(ShapeError):
-        io.gfun_from_dict({"groupoid": "C2", "map": [0, 0]})
-
-
 def test_monoid_export(sg_c2):
     obj = io.monoid_to_dict(sg_c2)
     assert obj["side"] == "S"
@@ -255,7 +241,7 @@ def test_p311_catches_involution_fault(c2):
     # C2: the units of S are 0 and 3; member 1 (= j) of S' is not dense
     ctx = _Ctx(c2, DEFAULT_MONOID_CAP)
     assert gpd.report._check_p311(ctx).passed
-    assert ctx.sides[0].tg.indices == (0, 3) and 1 not in ctx.sides[1].tg.indices
+    assert ctx.sides[0].bijective[0] == (0, 3) and 1 not in ctx.sides[1].bijective[0]
     ctx.sigma = ctx.sigma.copy()
     ctx.sigma[3] = 1
     verdict = gpd.report._check_p311(ctx)
@@ -276,7 +262,7 @@ def test_closing_fails_when_the_intersection_misses_a_member(c2):
     # C2 is not principal, so only the closed form |S n S'| = 4 catches it
     ctx = _Ctx(c2, DEFAULT_MONOID_CAP)
     assert gpd.report._check_closing(ctx).passed
-    ctx.inter = dataclasses.replace(ctx.inter, indices=ctx.inter.indices[:-1])
+    ctx.inter = ctx.inter[:-1]
     assert gpd.report._check_closing(ctx) == Verdict(False, ("enumerated", 3, "closed form", 4))
 
 

@@ -6,9 +6,13 @@ import pytest
 
 from gpd import corpus
 from gpd.census import enumerate_groupoids
-from gpd.endo import SIDES, enumerate_monoid, gfun, involution_star, iter_monoid_maps, membership, star
+from gpd.endo import (SIDES, Membership, enumerate_monoid, gfun, involution_star, iter_monoid_maps,
+                      membership, star)
 from gpd.errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed
-from gpd.groupoid import morphism_classify
+from gpd.groupoid import is_principal, morphism_classify
+from gpd.operators import Verdict
+from gpd.report import full_report
+import gpd.structure
 from gpd.structure import (
     antihom_classification,
     bijective_translations,
@@ -22,6 +26,7 @@ from gpd.structure import (
     j_ideal,
     j_index,
     left_cancellative,
+    left_ideal,
     left_zero_criterion,
     minimal_ideal,
     range_domain_criterion,
@@ -81,31 +86,35 @@ def test_j_always_idempotent_right_zero(small_corpus):
             assert j in spec.right_zeros, name
 
 
+def _j_is_left_zero(t):
+    j = j_index(t)
+    return bool((t.op[j] == j).all())
+
+
 def test_left_zero_criterion():
     u2 = enumerate_monoid(corpus.unit_groupoid(2), "S")
-    v = left_zero_criterion(corpus.unit_groupoid(2), u2)
-    assert v.j_is_left_zero and v.all_maps_fix_units and v.equivalence_holds
+    v = left_zero_criterion(u2)
+    assert _j_is_left_zero(u2) and v == Verdict(True)  # every member fixes every unit
 
-    c2 = corpus.cyclic(2)
-    t = enumerate_monoid(c2, "S")
-    v = left_zero_criterion(c2, t)
-    assert not v.j_is_left_zero and not v.all_maps_fix_units
-    assert v.equivalence_holds
-    i, u = v.witness
+    t = enumerate_monoid(corpus.cyclic(2), "S")
+    v = left_zero_criterion(t)
+    assert not _j_is_left_zero(t) and v.passed
+    i, u = v.witness  # the first member that moves a unit
     assert t.maps[i, u] != u
+    assert (t.maps[:i, t.groupoid.units] == t.groupoid.units).all()
 
-    p2 = corpus.pair_groupoid(2)
-    v = left_zero_criterion(p2, enumerate_monoid(p2, "S"))
-    assert not v.j_is_left_zero and v.equivalence_holds
+    t = enumerate_monoid(corpus.pair_groupoid(2), "S")
+    v = left_zero_criterion(t)
+    assert not _j_is_left_zero(t) and v.passed and v.witness is not None
 
 
 def test_j_ideal_minimal_c2(sg_c2):
     ideal = j_ideal(sg_c2)
     assert ideal == (1, 2)
-    assert ideal_check(sg_c2, ideal).ideal and minimal_ideal(sg_c2, ideal)
+    assert ideal_check(sg_c2, ideal) and minimal_ideal(sg_c2, ideal)
     # the full monoid is an ideal but not minimal here
     whole = range(len(sg_c2))
-    assert ideal_check(sg_c2, whole).ideal and not minimal_ideal(sg_c2, whole)
+    assert ideal_check(sg_c2, whole) and not minimal_ideal(sg_c2, whole)
 
 
 def test_j_ideal_minimal_everywhere(small_corpus):
@@ -118,8 +127,7 @@ def test_j_ideal_minimal_everywhere(small_corpus):
 def oracle_minimal_ideal(t, subset):
     """The generated-ideal loop: an ideal T with S x S = T for every x in T."""
     sub = frozenset(int(i) for i in subset)
-    verdict = ideal_check(t, sub)
-    return verdict.ideal and all(
+    return ideal_check(t, sub) and all(
         frozenset(int(v) for v in t.op[:, t.op[x, :]].ravel()) == sub for x in sub
     )
 
@@ -131,7 +139,7 @@ def test_minimal_ideal_matches_loop_oracle(small_corpus):
             t = enumerate_monoid(g, side)
             spec = special_elements(t)
             subsets = [j_ideal(t), range(len(t)), (t.identity,), spec.right_zeros,
-                       intersection_analysis(g, t).indices]
+                       intersection_analysis(t)]
             for subset in subsets:
                 expect = oracle_minimal_ideal(t, subset)
                 assert minimal_ideal(t, subset) == expect, (name, side, tuple(subset))
@@ -141,8 +149,7 @@ def test_minimal_ideal_matches_loop_oracle(small_corpus):
 
 def test_intersection_left_ideal(sg_c2, sg_pair2):
     for t in (sg_c2, sg_pair2):
-        inter = intersection_analysis(t.groupoid, t).indices
-        assert ideal_check(t, inter).left_ideal
+        assert left_ideal(t, intersection_analysis(t))
 
 
 def test_ideal_check_empty(sg_c2):
@@ -151,20 +158,20 @@ def test_ideal_check_empty(sg_c2):
 
 
 def test_group_of_units_c2(sg_c2):
-    h1 = group_of_units(sg_c2.groupoid, sg_c2, bijective_translations(sg_c2))
-    assert h1.indices == (0, 3)
-    assert h1.verified
-    assert h1.inverse == {0: 0, 3: 3}
-    cross = units_crosscheck(h1, cayley_units(sg_c2))
-    assert cross.agrees
+    bijective = bijective_translations(sg_c2)
+    assert bijective[0] == (0, 3)
+    inverse, verdict = group_of_units(sg_c2, bijective)
+    assert verdict == Verdict(True)
+    assert inverse == {0: 0, 3: 3}
+    assert units_crosscheck(bijective[0], cayley_units(sg_c2)) == Verdict(True)
 
 
 def test_group_of_units_trivial_cases():
     u2 = corpus.unit_groupoid(2)
     t = enumerate_monoid(u2, "S")
-    h1 = group_of_units(u2, t, bijective_translations(t))
-    assert h1.indices == (t.identity,)
-    assert units_crosscheck(h1, cayley_units(t)).agrees
+    units = bijective_translations(t)[0]
+    assert units == (t.identity,)
+    assert units_crosscheck(units, cayley_units(t)).passed
 
 
 def test_group_of_units_inverse_not_a_member(pair2):
@@ -175,10 +182,9 @@ def test_group_of_units_inverse_not_a_member(pair2):
     assert bijective == ((3, 6, 9, 12), True)
     maps = t.maps.copy()
     maps[6] = range(pair2.size)
-    h1 = group_of_units(pair2, dataclasses.replace(t, maps=maps), bijective)
-    assert not h1.verified
-    assert h1.witness == (6, "inverse not a member")
-    assert h1.inverse == {3: 3, 9: 9, 12: 12}
+    inverse, verdict = group_of_units(dataclasses.replace(t, maps=maps), bijective)
+    assert verdict == Verdict(False, (6, "inverse not a member"))
+    assert inverse == {3: 3, 9: 9, 12: 12}
     psi = np.asarray(pair2.inverse)[maps[6]][np.argsort(t.trans[6])]
     assert t.rank([psi])[0] == -1 and not membership(pair2, psi.tolist()).in_sg
 
@@ -193,12 +199,12 @@ def test_j_index_needs_a_member(pair2):
 def test_r_always_in_h1_and_crosscheck(small_corpus):
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        h1 = group_of_units(g, t, bijective_translations(t))
-        assert t.identity in h1.indices, name
-        assert h1.verified, name
-        assert units_crosscheck(h1, cayley_units(t)).agrees, name
+        bijective = bijective_translations(t)
+        assert t.identity in bijective[0], name
+        assert group_of_units(t, bijective)[1].passed, name
+        assert units_crosscheck(bijective[0], cayley_units(t)).passed, name
         # j is invertible exactly on unit groupoids
-        assert (j_index(t) in h1.indices) == (len(g.units) == g.size), name
+        assert (j_index(t) in bijective[0]) == (len(g.units) == g.size), name
 
 
 def _dense(t):
@@ -206,19 +212,20 @@ def _dense(t):
 
 
 def test_dense_submonoid(sg_c2, small_corpus):
-    tg = _dense(sg_c2)
-    assert tg.indices == (0, 3)  # equals H(1)
+    assert bijective_translations(sg_c2)[0] == (0, 3)
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        tg = _dense(t)
-        h1 = group_of_units(g, t, bijective_translations(t))
-        assert tg.indices == h1.indices, name  # finite case: dense = bijective
-        assert tg.closed and tg.contains_identity, name
-        assert tg.left_cancellative, name
+        assert _dense(t) == Verdict(True), name
+        # the members with a surjective translation: closed, with the
+        # identity, left-cancellative, and at finite scale the table's units
+        dense = [i for i, row in enumerate(t.trans.tolist()) if len(set(row)) == g.size]
+        assert tuple(dense) == bijective_translations(t)[0] == cayley_units(t), name
+        assert np.isin(t.op[np.ix_(dense, dense)], dense).all(), name
+        assert t.identity in dense and left_cancellative(t)[dense].all(), name
         # the involution carries T_G onto the mirror set of side S'
         tsp = enumerate_monoid(g, "S'")
-        mirror = {tuple(tsp.maps[k].tolist()) for k in _dense(tsp).indices}
-        images = {involution_star(gfun(g, t.maps[i].tolist())).map for i in tg.indices}
+        mirror = {tuple(tsp.maps[k].tolist()) for k in bijective_translations(tsp)[0]}
+        images = {involution_star(gfun(g, t.maps[i].tolist())).map for i in dense}
         assert images == mirror, name
 
 
@@ -228,9 +235,10 @@ def test_dense_submonoid_cancellation_witness(c3):
     t = enumerate_monoid(c3, "S")
     op = t.op.copy()
     op[5, 11] = (op[5, 11] + 1) % len(t)
-    tg = _dense(dataclasses.replace(t, op=op))
-    assert not tg.left_cancellative
-    i, j, k = tg.witness
+    corrupted = dataclasses.replace(t, op=op)
+    verdict = _dense(corrupted)
+    assert not verdict.passed and not left_cancellative(corrupted)[5]
+    i, j, k = verdict.witness
     assert i == 5 and j < k and op[5, j] == op[5, k]
     assert len(set(op[5, :k].tolist())) == k
 
@@ -244,28 +252,34 @@ def test_subgroupoid_validation():
         validate_subgroupoid(g, [])
 
 
+def _preserving(t, a):
+    """The members mapping ``a`` into itself, read off the maps array."""
+    return tuple(i for i, row in enumerate(t.maps.tolist()) if {row[x] for x in a} <= set(a))
+
+
 def test_subgroupoid_semigroup_blocks():
     g = corpus.disjoint_union(corpus.cyclic(2), corpus.cyclic(2))
     t = enumerate_monoid(g, "S")
-    rep = subgroupoid_semigroup(g, [0, 1], t)
-    assert rep.closed and rep.translation_agrees
+    assert subgroupoid_semigroup([0, 1], t) == Verdict(True)
     # A = G gives the whole monoid
-    rep_all = subgroupoid_semigroup(g, list(g.elements()), t)
-    assert rep_all.indices == tuple(range(len(t)))
+    assert subgroupoid_semigroup(list(g.elements()), t) == Verdict(True)
+    assert _preserving(t, list(g.elements())) == tuple(range(len(t)))
     # units of a unit groupoid: everything preserves them
     u2 = corpus.unit_groupoid(2)
     tu = enumerate_monoid(u2, "S")
-    rep_u = subgroupoid_semigroup(u2, u2.units, tu)
-    assert rep_u.indices == tuple(range(len(tu)))
+    assert subgroupoid_semigroup(u2.units, tu) == Verdict(True)
+    assert _preserving(tu, u2.units) == tuple(range(len(tu)))
+
+
+def _hits_every_unit(g, phi):
+    """Whether the image of every range-fiber meets the matching domain-fiber."""
+    return all({phi[x] for x in g.r_fibers[u]} & set(g.d_fibers[u]) for u in g.units)
 
 
 def test_range_domain_criterion(c2):
-    j = list(c2.inverse)
-    v = range_domain_criterion(c2, j)
-    assert v.in_sg and v.hits_every_unit and v.equivalence_holds
-    r = list(c2.range_map)
-    v = range_domain_criterion(c2, r)
-    assert v.in_sg and v.hits_every_unit
+    for phi in (list(c2.inverse), list(c2.range_map)):
+        assert range_domain_criterion(c2, phi) == Verdict(True)
+        assert membership(c2, phi).in_sg and _hits_every_unit(c2, phi)
     with pytest.raises(PreconditionFailed):
         range_domain_criterion(c2, [1, 1])  # d(phi(e)) = e != phi(r(e)) = a
 
@@ -275,8 +289,8 @@ def test_range_domain_sweep(small_corpus):
         count = count_intertwining_maps(g)
         seen = 0
         for phi in iter_intertwining_maps(g):
-            v = range_domain_criterion(g, phi)
-            assert v.equivalence_holds, (name, phi)
+            assert range_domain_criterion(g, phi) == Verdict(True), (name, phi)
+            assert membership(g, phi).in_sg == _hits_every_unit(g, phi), (name, phi)
             seen += 1
         assert seen == count, name
 
@@ -286,28 +300,44 @@ def test_unit_fixing_membership_equivalence(small_corpus):
     # every unit
     for name, g in small_corpus:
         for phi in iter_intertwining_maps(g):
-            v = range_domain_criterion(g, phi)
             fixes = all(phi[u] == u for u in g.units)
-            assert v.in_sg == fixes, (name, phi)
+            assert membership(g, phi).in_sg == fixes, (name, phi)
+
+
+def test_p310_fails_when_membership_misreads_a_map(monkeypatch):
+    # units(2): the unit swap intertwines d and r; it is not in S, meets no
+    # domain-fiber and fixes no unit
+    u2 = corpus.unit_groupoid(2)
+    swap = [1, 0]
+    assert not membership(u2, swap).in_sg
+    assert not _hits_every_unit(u2, swap)
+    assert not any(swap[u] == u for u in u2.units)
+    assert full_report(u2, ("P3.10",)).verdicts["P3.10"] == Verdict(True)
+
+    def misread(g, m):
+        flags = membership(g, m)
+        return Membership(True, flags.in_spg) if list(m) == swap else flags
+
+    monkeypatch.setattr(gpd.structure, "membership", misread)
+    assert full_report(u2, ("P3.10",)).verdicts["P3.10"] == Verdict(False, (1, 0))
 
 
 def test_antihom_classification_c2(sg_c2):
-    v = antihom_classification(sg_c2.groupoid, sg_c2, special_elements(sg_c2))
-    assert v.injective_idempotent_antihoms == (1,)
-    assert v.right_zero_antihoms == (1,)
-    assert v.only_j_rule_six and v.only_j_rule_seven
-    assert v.bijective_inverses_in_mirror
+    spec = special_elements(sg_c2)
+    anti, p335, p336, p337 = antihom_classification(sg_c2, spec)
+    assert p335 == Verdict(True)
+    assert p336 == Verdict(True, (1,))  # the injective idempotent antihomomorphisms
+    assert p337 == Verdict(True, (1,))  # the right-zero antihomomorphisms
     # the swap map is an injective idempotent that is not an antihomomorphism
-    assert v.injective_idempotent_non_antihoms == (2,)
+    injective = [len(set(row)) == 2 for row in sg_c2.maps.tolist()]
+    assert tuple(i for i in spec.idempotents if injective[i] and not anti[i]) == (2,)
 
 
 def test_antihom_classification_corpus(small_corpus):
     for name, g in small_corpus:
         t = enumerate_monoid(g, "S")
-        v = antihom_classification(g, t, special_elements(t))
-        assert v.only_j_rule_six, name
-        assert v.only_j_rule_seven, name
-        assert v.bijective_inverses_in_mirror, name
+        _, *verdicts = antihom_classification(t, special_elements(t))
+        assert [v.passed for v in verdicts] == [True] * 3, name
 
 
 def test_antihom_star_equals_star_prime(small_corpus):
@@ -335,25 +365,25 @@ def test_member_masks_match_the_scalar_reference(small_corpus):
     for name, g in pool:
         for side in SIDES:
             t = enumerate_monoid(g, side)
-            flags = antihom_classification(g, t, special_elements(t)).antihom_flags
+            flags = antihom_classification(t, special_elements(t))[0]
             maps = t.maps.tolist()
-            assert flags == tuple(morphism_classify(g, g, m).antihomomorphism for m in maps), \
+            assert flags.tolist() == [morphism_classify(g, g, m).antihomomorphism for m in maps], \
                 (name, side)
             mirror = [membership(g, m).in_spg if side == "S" else membership(g, m).in_sg
                       for m in maps]
-            assert intersection_analysis(g, t).indices == tuple(np.flatnonzero(mirror)), (name, side)
+            assert intersection_analysis(t) == tuple(np.flatnonzero(mirror)), (name, side)
 
 
 def test_intersection_analysis(sg_c2, sg_pair2):
-    v = intersection_analysis(sg_c2.groupoid, sg_c2)
-    assert len(v.indices) == 4 and not v.equals_j_only and not v.principal
-    assert v.forward_implication_holds  # vacuous: not principal
+    # CLOSING: principal implies the intersection is exactly {j}
+    assert len(intersection_analysis(sg_c2)) == 4 and not is_principal(sg_c2.groupoid)
+    assert full_report(sg_c2.groupoid, ("CLOSING",)).verdicts["CLOSING"] == \
+        Verdict(True, ("principal", False, "only_j", False))  # vacuous: not principal
 
-    v = intersection_analysis(sg_pair2.groupoid, sg_pair2)
-    assert v.indices == (j_index(sg_pair2),)
-    assert v.equals_j_only and v.principal and v.forward_implication_holds
+    assert intersection_analysis(sg_pair2) == (j_index(sg_pair2),)
+    assert full_report(sg_pair2.groupoid, ("CLOSING",)).verdicts["CLOSING"] == \
+        Verdict(True, ("principal", True, "only_j", True))
 
     u2 = corpus.unit_groupoid(2)
     t = enumerate_monoid(u2, "S")
-    v = intersection_analysis(u2, t)
-    assert v.equals_j_only and v.principal
+    assert intersection_analysis(t) == (j_index(t),) and is_principal(u2)
