@@ -6,8 +6,8 @@ Usage:
   python scripts/run_probe.py --max-order 6 -o probe.json
 
 Exits 1 when the forward implication fails, and 2 with one ``error:`` line
-on stderr for an order outside the census (below 1 or above its cap), as
-``gpd search`` does.
+on stderr for an order outside the census (below 1 or above its cap) or one
+``i/o error:`` line when the report cannot be written, as ``gpd search`` does.
 """
 
 import argparse
@@ -47,7 +47,11 @@ def main():
     print(f"({elapsed:.2f}s)")
 
     if args.output:
-        write_json(args.output, probe_to_dict(report))
+        try:
+            write_json(args.output, probe_to_dict(report))
+        except OSError as err:
+            print(f"i/o error: {err}", file=sys.stderr)
+            return 2
     return 0 if report.forward_holds else 1
 
 

@@ -26,7 +26,6 @@ from .groupoid import (
     transformation_groupoid,
     unit_groupoid,
 )
-from .operators import LinOp
 from .report import CHECK_IDS, full_report
 
 EXIT_OK = 0
@@ -151,11 +150,8 @@ def cmd_rep(args) -> int:
     cfg = _config(args)
     g = io.load_groupoid(args.path)
     t = enumerate_monoid(g, args.side, cfg.cap_monoid)
-    # row i of trans is the left (on S) or right (on S') translation of member i
-    operators = [io.linop_to_dict(m, LinOp(g, tuple(tau)))
-                 for m, tau in zip(t.maps.tolist(), t.trans.tolist())]
-    payload = {"groupoid": g.name, "side": args.side, "operators": operators}
-    lines = [f"{len(operators)} operators of size {g.size}x{g.size}"]
+    payload = io.rep_to_dict(t)
+    lines = [f"{len(t)} operators of size {g.size}x{g.size}"]
     _emit(cfg, payload, lines)
     return EXIT_OK
 

@@ -6,7 +6,8 @@ Action file:       {"group": <groupoid object>, "space": m,
                     "act": [[int]x|T|]xm}
 Monoid export:     {"side": "S"|"S'", "elements": [[int]xn...],
                     "identity": i, "op": [[int]]}
-Operator export:   {"fn": [int]xn, "matrix": [[0|1]xn]xn}
+Operator export:   {"groupoid": name, "side": "S"|"S'",
+                    "operators": [{"fn": [int]xn, "matrix": [[0|1]xn]xn}...]}
 Census manifest:   {"order": n, "count": k, "names": [...]}
 Probe row:         {"order", "name", "principal", "intersection_size",
                     "candidate"}
@@ -14,7 +15,13 @@ Probe row:         {"order", "name", "principal", "intersection_size",
 All dumps are canonical: exactly
 ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` in UTF-8, so identical
 inputs give identical files.  ``dump_bytes`` writes these bytes through the
-standard library's C encoder, one call per list of scalars.
+standard library's C encoder, one call per list of scalars.  An integer
+``np.ndarray`` is written as the list its ``tolist()`` gives, without
+building that list of ints: when its values lie in ``0 .. size - 1``, each
+value is looked up in a table of the decimal strings of ``0 .. max`` and
+each innermost row is one ``str.join``.  Any other array (0-d, empty,
+negative, bool, float, or a value >= its size) is written as its
+``tolist()``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import functools
 import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
+
+import numpy as np
 
 from .census import Census, ProbeReport
 from .endo import MonoidTable
@@ -39,6 +48,28 @@ _encode_scalar = json.JSONEncoder().encode
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(pad: str):
     return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _write_tokens(rows: list, pad: str, out: list):
+    """Append nested lists of decimal strings as JSON integer lists."""
+    inner = pad + "  "
+    if type(rows[0]) is str:  # innermost row
+        out += ("[\n", inner, (",\n" + inner).join(rows), "\n", pad, "]")
+        return
+    for n, row in enumerate(rows):
+        out += (",\n" if n else "[\n", inner)
+        _write_tokens(row, inner, out)
+    out += ("\n", pad, "]")
+
+
+def _write_array(arr: np.ndarray, pad: str, out: list):
+    if arr.dtype.kind in "iu" and arr.ndim and arr.size:
+        top = int(arr.max())
+        if top < arr.size and arr.min() >= 0:  # the token table is no larger than arr
+            tokens = np.array([str(v) for v in range(top + 1)], dtype=object)
+            _write_tokens(tokens[arr].tolist(), pad, out)
+            return
+    _write(arr.tolist(), pad, out)
 
 
 def _write(obj: Any, pad: str, out: list):
@@ -58,6 +89,8 @@ def _write(obj: Any, pad: str, out: list):
             out += (",\n" if n else "{\n", inner, encode_basestring_ascii(key), ": ")
             _write(obj[key], inner, out)
         out += ("\n", pad, "}")
+    elif kind is np.ndarray:
+        _write_array(obj, pad, out)
     else:  # empty containers, non-str keys, subclasses, unserializable values
         out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
 
@@ -155,10 +188,18 @@ def save_action(path, a: GroupAction):
 def monoid_to_dict(t: MonoidTable) -> dict:
     return {
         "side": t.side,
-        "elements": t.maps.tolist(),
+        "elements": t.maps,
         "identity": t.identity,
-        "op": t.op.tolist(),
+        "op": t.op,
     }
+
+
+def rep_to_dict(t: MonoidTable) -> dict:
+    """Every member's map and operator matrix, gathered at once from ``t.trans``."""
+    g = t.groupoid
+    matrices = np.eye(g.size, dtype=np.int8)[t.trans]  # row x has its 1 in column tau(x)
+    return {"groupoid": g.name, "side": t.side,
+            "operators": [{"fn": fn, "matrix": m} for fn, m in zip(t.maps, matrices)]}
 
 
 def linop_to_dict(fn: Sequence[int], op: LinOp) -> dict:

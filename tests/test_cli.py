@@ -238,6 +238,19 @@ def test_probe_script_order_outside_the_census(order, message):
     assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
 
 
+def test_probe_script_output_in_a_missing_directory(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_probe.py"
+    src = str(Path(gpd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, str(script), "--max-order", "1", "-o", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "forward implication" in proc.stdout
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    assert str(out) in proc.stderr and not out.parent.exists()
+
+
 def test_usage_error():
     assert run(["frobnicate"]) == 2
 

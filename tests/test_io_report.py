@@ -27,6 +27,7 @@ import gpd.endo
 import gpd.groupoid
 import gpd.report
 import gpd.structure
+from gpd.structure import antihom_classification, intersection_analysis, special_elements
 from gpd.report import CHECK_IDS, _Ctx, full_report
 
 
@@ -72,8 +73,8 @@ def test_monoid_export(sg_c2):
     obj = io.monoid_to_dict(sg_c2)
     assert obj["side"] == "S"
     assert obj["identity"] == 0
-    assert obj["elements"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert obj["op"][3][3] == 0
+    assert obj["elements"].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert obj["op"].tolist()[3][3] == 0
 
 
 def test_linop_export(c2):
@@ -110,6 +111,17 @@ def stdlib_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def listed(obj):
+    """``obj`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(listed(v) for v in obj)
+    return obj
+
+
 def rep_payload(g, side):
     """The ``gpd rep`` payload built from the scalar operators of each member."""
     build = left_operator if side == "S" else right_operator
@@ -135,7 +147,9 @@ def real_payloads():
     for g in (corpus.cyclic(4), corpus.klein_four()):
         yield io.groupoid_to_dict(g)
         for side in SIDES:
-            yield io.monoid_to_dict(enumerate_monoid(g, side))
+            t = enumerate_monoid(g, side)
+            yield io.monoid_to_dict(t)
+            yield io.rep_to_dict(t)
             yield rep_payload(g, side)
     yield full_report(disjoint_union(c3, c3)).to_dict()
     for order in range(1, 6):
@@ -145,7 +159,7 @@ def real_payloads():
 
 def test_dump_bytes_matches_stdlib_on_real_payloads():
     for obj in real_payloads():
-        assert io.dump_bytes(obj) == stdlib_bytes(obj)
+        assert io.dump_bytes(obj) == stdlib_bytes(listed(obj))
 
 
 EDGE_CASES = [
@@ -178,6 +192,68 @@ JSON_LIKE = st.recursive(
 @given(obj=JSON_LIKE)
 def test_dump_bytes_matches_stdlib_on_random_values(obj):
     assert io.dump_bytes(obj) == stdlib_bytes(obj)
+
+
+ARRAYS = [
+    np.array(3), np.array(-7), np.zeros((0,), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+    np.zeros((2, 0, 3), dtype=np.int8), np.array([0]), np.zeros((1, 1, 1), dtype=np.uint8),
+    np.array([-1, 0, 1]), np.array([[2, -3], [0, 1]], dtype=np.int8),
+    np.array([True, False, True]), np.array([[0.0, 1.5], [-0.0, 2.0]]),
+    np.array([0.0, 1.0], dtype=np.float32),
+    np.arange(6, dtype=np.int8).reshape(2, 3), np.arange(6, dtype=np.uint8)[::-1],
+    np.arange(24, dtype=np.int64).reshape(2, 3, 4) % 7, np.array([[1, 1], [1, 0]], dtype=np.uint64),
+    np.array([0, 2]), np.array([0, 1]), np.array([255, 0], dtype=np.uint8), np.array([0, 2**40]),
+    np.eye(3, dtype=np.int8)[np.array([[0, 0, 2], [1, 2, 0]])],
+    {"a": np.arange(4).reshape(2, 2), "b": [np.array([1, 0]), {"c": np.array(5)}]},
+    [np.array([0, 2**40]), (np.zeros((3, 0), dtype=int), np.array([[-1]])), {"d": []}],
+]
+
+
+@pytest.mark.parametrize("obj", ARRAYS, ids=range(len(ARRAYS)))
+def test_dump_bytes_writes_arrays_as_their_lists(obj):
+    assert io.dump_bytes(obj) == stdlib_bytes(listed(obj))
+
+
+def test_only_in_range_integer_arrays_take_the_token_table(monkeypatch):
+    # the token table holds max + 1 strings, so it is used only when that is
+    # no more than the array's size; every other array is written as its list
+    tokenized, write_tokens = [], io._write_tokens
+
+    def spy(rows, pad, out):
+        tokenized.append(pad)
+        write_tokens(rows, pad, out)
+
+    monkeypatch.setattr(io, "_write_tokens", spy)
+    for arr, taken in [(np.array([[1, 0], [3, 2]], dtype=np.uint8), True),
+                       (np.array([0, 1]), True), (np.array([0, 2]), False),
+                       (np.array([-1, 0, 1]), False), (np.array([True, False]), False),
+                       (np.array([0.0, 1.0]), False), (np.array(0), False),
+                       (np.zeros((2, 0), dtype=int), False)]:
+        tokenized.clear()
+        io.dump_bytes({"a": arr})
+        assert bool(tokenized) == taken, arr
+    tokenized.clear()
+    io.dump_bytes(io.monoid_to_dict(enumerate_monoid(corpus.cyclic(2), "S")))
+    assert tokenized.count("  ") == 2  # elements and op, each one array
+
+
+@st.composite
+def int_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(["int8", "uint8", "int16", "uint16", "int32", "int64", "uint64"])))
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=0, max_size=4)))
+    size = int(np.prod(shape, dtype=np.int64))
+    info = np.iinfo(dtype)
+    top = draw(st.sampled_from([max(size - 1, 0), size, int(info.max)]))
+    low = draw(st.sampled_from([0, max(-2, int(info.min)), int(info.min)]))
+    values = draw(st.lists(st.integers(low, max(low, top)), min_size=size, max_size=size))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arr=int_arrays())
+def test_dump_bytes_matches_stdlib_on_random_arrays(arr):
+    assert io.dump_bytes(arr) == stdlib_bytes(arr.tolist())
+    assert io.dump_bytes({"x": [arr]}) == stdlib_bytes({"x": [arr.tolist()]})
 
 
 @pytest.mark.parametrize("obj", [[1, np.int64(3)], {"a": {1, 2}}, {1, 2}])
@@ -391,6 +467,26 @@ def test_member_checks_fail_on_a_replaced_map(pair2):
         assert gpd.report._CHECKS["P3.3.2"](ctx) == Verdict(False, (side, (0, 0)))
     j = gfun(u2, u2.inverse)
     assert star(j, gfun(u2, u2.range_map)).map == j.map
+
+
+def test_p338_fails_when_star_prime_moves_a_value(pair2, monkeypatch):
+    # i is the first antihomomorphism member of the intersection; on pair(2)
+    # it is not member 0, so the witness must name the member replayed
+    t = enumerate_monoid(pair2, "S")
+    anti = antihom_classification(t, special_elements(t))[0]
+    i = next(k for k in intersection_analysis(t) if anti[k])
+    f = gfun(pair2, t.maps[i].tolist())
+    assert star(f, f).map == star_prime(f, f).map
+    assert full_report(pair2, ("P3.3.8",)).verdicts["P3.3.8"] == Verdict(True)
+
+    def moved(h, k):
+        m = list(star_prime(h, k).map)
+        m[0] = (m[0] + 1) % pair2.size
+        return gfun(pair2, m)
+
+    monkeypatch.setattr(gpd.report, "star_prime", moved)
+    assert full_report(pair2, ("P3.3.8",)).verdicts["P3.3.8"] == Verdict(False, (i,))
+    assert star(f, f).map != gpd.report.star_prime(f, f).map
 
 
 def test_rebuilt_table_recomputes_cached_facts(c3):
