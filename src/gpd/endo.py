@@ -267,15 +267,50 @@ class MonoidTable:
         return f"<monoid {self.side} of {self.groupoid!r}: {len(self)} elements>"
 
 
+_CODE_BOUND = 1 << 62    # every translation code and partial sum stays below this
+_BLOCK_CELLS = 1 << 14   # table cells per row block of the law scan
+
+
 def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int] | None:
     """The first (i, j), row-major, where trans[op[i, j]] != trans[j] o trans[i]
     (None if there is none): the L3.7 law tau_{i*j} = tau_j o tau_i against a
-    stored table, and so the operator law M(tau_{i*j}) = M(tau_i) M(tau_j)."""
-    cols = np.ascontiguousarray(trans.T)  # cols[x, k] = tau_k(x)
-    for i in range(len(op)):
-        bad = np.take(cols, op[i], axis=1) != cols[trans[i]]
+    stored table, and so the operator law M(tau_{i*j}) = M(tau_i) M(tau_j).
+
+    Every cell is compared exactly, one block of rows at a time.  A
+    translation tau is coded by its values as base-n digits,
+    code(tau) = sum_x n^x tau(x), over groups of at most w positions with
+    n^w <= 2^62, so each code is a distinct int64 below 2^62.  With
+    A[i, y] = sum of n^x over the positions x of the group where
+    tau_i(x) = y, and cols[y, k] = tau_k(y), the integer product
+    (A @ cols)[i, k] = sum_x n^x tau_k(tau_i(x)) is the code of
+    tau_k o tau_i; its terms are non-negative, so no partial sum reaches
+    2^62 and nothing overflows.  Codes are equal exactly when the digits
+    are, so the law holds at (i, j) iff the codes agree in every group.
+    """
+    total, n = trans.shape
+    cols = np.ascontiguousarray(trans.T, dtype=np.int64)  # cols[y, k] = tau_k(y)
+    width = 1
+    while width < n and n ** (width + 1) <= _CODE_BOUND:
+        width += 1
+    rows = np.arange(total)
+    groups = []  # (A, code) per group of positions
+    for lo in range(0, n, width):
+        digits = trans[:, lo:lo + width]
+        weights = n ** np.arange(digits.shape[1], dtype=np.int64)
+        a = np.zeros((total, n), dtype=np.int64)
+        for x, w in enumerate(weights):
+            a[rows, digits[:, x]] += w
+        groups.append((a, digits.astype(np.int64) @ weights))
+    step = max(1, _BLOCK_CELLS // total)
+    for i0 in range(0, total, step):
+        block = op[i0:i0 + step]
+        bad = None
+        for a, code in groups:
+            diff = a[i0:i0 + step] @ cols != code.take(block)
+            bad = diff if bad is None else bad | diff
         if bad.any():
-            return i, int(np.argmax(bad.any(axis=0)))
+            i, j = divmod(int(np.argmax(bad)), total)
+            return i0 + i, j
     return None
 
 

@@ -19,6 +19,8 @@ indices or a mask.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -115,9 +117,14 @@ def j_ideal(t: MonoidTable) -> tuple[int, ...]:
 
 
 def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:
+    """Whether the table closes a set of members: the |I| x |I| block of
+    ``op`` at I, gathered by index, lies in I."""
+    idx = np.asarray(indices, dtype=np.intp)
     mask = np.zeros(len(t), dtype=bool)
-    mask[list(indices)] = True
-    return bool(mask[t.op[np.ix_(mask, mask)]].all())
+    mask[idx] = True
+    if mask.all():
+        return True  # every table cell is a member index
+    return bool(mask[np.take(np.take(t.op, idx, axis=0), idx, axis=1)].all())
 
 
 def bijective_translations(t: MonoidTable) -> tuple[tuple[int, ...], bool]:
@@ -276,16 +283,15 @@ def iter_intertwining_maps(g: Groupoid):
 
 
 def count_intertwining_maps(g: Groupoid) -> int:
-    units = g.units
-    non_units = [x for x in g.elements() if not g.is_unit(x)]
-    total = 0
-    for sigma in itertools.product(units, repeat=len(units)):
-        assign = dict(zip(units, sigma))
-        prod = 1
-        for x in non_units:
-            prod *= len(g.d_fibers[assign[g.range_map[x]]])
-        total += prod
-    return total
+    """The number of maps ``iter_intertwining_maps`` yields, before any is built.
+
+    Summing over the unit assignments sigma of the product of the pool sizes,
+    prod_x k_{sigma(r(x))} with k_v = |d^-1(v)|, factors per unit:
+    prod_u sum_v k_v^{m_u}, m_u being the number of non-units x with r(x) = u.
+    """
+    k = [len(g.d_fibers[v]) for v in g.units]
+    m = Counter(g.range_map[x] for x in g.elements() if not g.is_unit(x))
+    return math.prod(sum(kv ** m[u] for kv in k) for u in g.units)
 
 
 def antihom_classification(

@@ -128,6 +128,21 @@ def test_verify_selection_naming_no_id(tmp_path, capsys, props):
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 18
 
 
+def test_verify_p39_above_the_sweep_limit_is_skipped(tmp_path, capsys):
+    # 12 elements are swept; at 13 P3.9 is skipped, never passed on a
+    # sample: a requested skip exits 2, the full suite passes with it skipped
+    at_limit = corpus.unit_groupoid(gpd.report.SUBGROUPOID_SWEEP_LIMIT)
+    assert gpd.report.full_report(at_limit, ("P3.9",)).verdicts["P3.9"].witness == "all-subsets"
+    path = tmp_path / "wide.json"
+    io.save_groupoid(path, corpus.disjoint_union(corpus.cyclic(2), corpus.unit_groupoid(11)))
+    assert run(["verify", path, "--props", "P3.9"]) == 2
+    check = json.loads(capsys.readouterr().out)["checks"]["P3.9"]
+    assert check == {"pass": None,
+                     "witness": "skipped: 13 elements exceed the all-subsets sweep limit of 12"}
+    assert run(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["P3.9"] == check
+
+
 def test_verify_text_format(tmp_path, capsys):
     path = write_c2(tmp_path)
     assert run(["verify", path, "--format", "text"]) == 0

@@ -212,6 +212,17 @@ def test_translation_law_agrees_with_matmul_oracle(small_corpus):
             assert translation_law_witness(trans, op) == matmul_law_witness(trans, op) is None
 
 
+def loop_law_witness(trans, op):
+    """The row-by-row translation-law scan: the first (i, j), row-major, with
+    tau_{op[i, j]} != tau_j o tau_i, one row of the table at a time."""
+    cols = np.ascontiguousarray(trans.T)  # cols[x, k] = tau_k(x)
+    for i in range(len(op)):
+        bad = np.take(cols, op[i], axis=1) != cols[trans[i]]
+        if bad.any():
+            return i, int(np.argmax(bad.any(axis=0)))
+    return None
+
+
 def test_translation_law_witness_matches_oracle_on_mutants(c2, c3, pair2):
     # every wrong value in every cell for C2 and pair(2); for C3 (729 cells
     # per side) each cell moves to the next index
@@ -232,5 +243,70 @@ def test_translation_law_witness_matches_oracle_on_mutants(c2, c3, pair2):
                     witness = translation_law_witness(t.trans, op)
                     # translations are injective, so the cell itself is the witness
                     assert witness == matmul_law_witness(t.trans, op) == (i, j)
+                    if every_value:
+                        assert witness == loop_law_witness(t.trans, op)
                     cases += 1
     assert cases == 2 * (16 * 3 + 256 * 15 + 729)
+
+
+def _trans_mutants(trans, count, seed):
+    """``count`` copies of ``trans``, each with one entry moved to another value."""
+    rng = np.random.default_rng(seed)
+    total, n = trans.shape
+    for _ in range(count):
+        i, x = int(rng.integers(total)), int(rng.integers(n))
+        mutant = trans.copy()
+        mutant[i, x] = (mutant[i, x] + int(rng.integers(1, n))) % n
+        yield mutant
+
+
+def test_translation_law_witness_matches_loop_on_trans_mutants(small_corpus):
+    found = 0
+    for name, g in small_corpus:
+        if g.size < 2:
+            continue
+        ts, tsp = enumerate_monoid(g, "S"), enumerate_monoid(g, "S'")
+        sigma = involution_indices(ts, tsp)
+        # side S, side S', and the mixed action through the involution
+        for k, (trans, op) in enumerate(((ts.trans, ts.op), (tsp.trans, tsp.op),
+                                         (tsp.trans[sigma], ts.op))):
+            for mutant in _trans_mutants(trans, 25, k):
+                witness = translation_law_witness(mutant, op)
+                assert witness == loop_law_witness(mutant, op), (name, k)
+                found += witness is not None
+    assert found > 0
+
+
+def test_translation_law_witness_on_the_mixed_action(c3, pair2):
+    for g in (c3, pair2):
+        ts, tsp = enumerate_monoid(g, "S"), enumerate_monoid(g, "S'")
+        trans = tsp.trans[involution_indices(ts, tsp)]
+        assert translation_law_witness(trans, ts.op) is None
+        total = len(ts)
+        for i, j in ((0, 0), (1, total - 1), (total - 1, 2), (total // 2, total // 3)):
+            op = ts.op.copy()
+            op[i, j] = (op[i, j] + 1) % total
+            assert translation_law_witness(trans, op) == loop_law_witness(trans, op) == (i, j)
+
+
+@pytest.mark.parametrize("extra, units, n", [(2, 14, 16), (3, 17, 20)])
+def test_translation_law_witness_across_position_groups(extra, units, n):
+    # base n codes span at most floor(62 / log2 n) positions, so n = 16 and
+    # n = 20 split the positions into two groups; a fault at the last
+    # position is seen by the second group alone
+    g = corpus.disjoint_union(corpus.cyclic(extra), corpus.unit_groupoid(units))
+    assert g.size == n and n ** n > 2 ** 62
+    for side in ("S", "S'"):
+        t = enumerate_monoid(g, side)
+        total = len(t)
+        assert translation_law_witness(t.trans, t.op) is None
+        for i in range(total):
+            for x in (0, n - 1):
+                trans = t.trans.copy()
+                trans[i, x] = (trans[i, x] + 1) % n
+                witness = translation_law_witness(trans, t.op)
+                assert witness is not None and witness == loop_law_witness(trans, t.op)
+        for i, j in itertools.product(range(total), repeat=2):
+            op = t.op.copy()
+            op[i, j] = (op[i, j] + 1) % total
+            assert translation_law_witness(t.trans, op) == loop_law_witness(t.trans, op) == (i, j)

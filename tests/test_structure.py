@@ -6,12 +6,13 @@ import pytest
 
 from gpd import corpus
 from gpd.census import enumerate_groupoids
-from gpd.endo import (SIDES, Membership, enumerate_monoid, gfun, involution_star, iter_monoid_maps,
-                      membership, star)
+from gpd.endo import (DEFAULT_MONOID_CAP, SIDES, Membership, enumerate_monoid, gfun,
+                      involution_star, iter_monoid_maps, membership, star)
 from gpd.errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed
 from gpd.groupoid import is_principal, morphism_classify
 from gpd.operators import Verdict
 from gpd.report import full_report
+import gpd.report
 import gpd.structure
 from gpd.structure import (
     antihom_classification,
@@ -269,6 +270,91 @@ def test_subgroupoid_semigroup_blocks():
     tu = enumerate_monoid(u2, "S")
     assert subgroupoid_semigroup(u2.units, tu) == Verdict(True)
     assert _preserving(tu, u2.units) == tuple(range(len(tu)))
+
+
+def test_subgroupoid_semigroup_fails_on_a_moved_cell_inside_a_strict_set():
+    # on C3 + C3 (three of its eight preserving sets are all of S), each strict
+    # preserving set loses closure when a product of two of its members moves
+    # outside it; P3.9 names the first subgroupoid, in sweep order, whose
+    # preserving set holds the cell's row and column but not its new value
+    g = corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3))
+    t = enumerate_monoid(g, "S")
+    subs = gpd.report._subgroupoids(g)
+    preserving = [set(_preserving(t, a)) for a in subs]
+    strict = [k for k, p in enumerate(preserving) if len(p) < len(t)]
+    assert len(strict) == 5 and len(subs) == 8
+    named = set()
+    for k in strict:
+        i, j = sorted(preserving[k])[1:3]
+        first = {w: next(b for b, p in enumerate(preserving) if {i, j} <= p and w not in p)
+                 for w in range(len(t)) if w not in preserving[k]}
+        w = min(first, key=lambda w: (first[w] != k, w))  # one P3.9 attributes to k, if any
+        op = t.op.copy()
+        op[i, j] = w
+        bad = dataclasses.replace(t, op=op)
+        assert subgroupoid_semigroup(subs[k], bad) == Verdict(False, None)
+        ctx = gpd.report._Ctx(g, DEFAULT_MONOID_CAP)
+        ctx.sides[0].table = bad
+        assert gpd.report._CHECKS["P3.9"](ctx) == Verdict(False, (subs[first[w]], None))
+        named.add(subs[first[w]])
+    # the other strict sets are intersections of these two ((0, 3, 4, 5)
+    # has the preserving set of (0,)), so their faults are named earlier
+    assert named == {(0,), (3,)}
+
+
+def test_closed_skips_the_gather_only_for_every_member(c3):
+    # a moved cell still holds a member index, so the whole monoid stays
+    # closed; one member fewer is gathered and the moved cell is seen
+    t = enumerate_monoid(c3, "S")
+    total = len(t)
+    op = t.op.copy()
+    op[3, 4] = total - 1
+    bad = dataclasses.replace(t, op=op)
+    assert gpd.structure._closed(bad, range(total))
+    assert not gpd.structure._closed(bad, range(total - 1))
+    # every member preserves A = G, so P3.9's closure passes the moved cell
+    # there; a third of them preserve A = {e}, and a cell moved out of that
+    # third fails
+    everything = tuple(range(c3.size))
+    assert _preserving(t, everything) == tuple(range(total))
+    assert subgroupoid_semigroup(everything, bad) == Verdict(True)
+    third = _preserving(t, (0,))
+    assert len(third) == total // 3
+    op = t.op.copy()
+    op[third[1], third[2]] = next(w for w in range(total) if w not in third)
+    assert subgroupoid_semigroup((0,), dataclasses.replace(t, op=op)) == Verdict(False, None)
+
+
+def loop_count_intertwining_maps(g):
+    """The count by summing over all U^U unit assignments."""
+    units = g.units
+    non_units = [x for x in g.elements() if not g.is_unit(x)]
+    total = 0
+    for sigma in itertools.product(units, repeat=len(units)):
+        assign = dict(zip(units, sigma))
+        prod = 1
+        for x in non_units:
+            prod *= len(g.d_fibers[assign[g.range_map[x]]])
+        total += prod
+    return total
+
+
+def test_intertwining_count_matches_the_loop(named_corpus):
+    pool = list(named_corpus)
+    for order in range(1, 7):
+        pool += [(h.name, h) for h in enumerate_groupoids(order).representatives]
+    pool += [(h.name, h) for h in enumerate_groupoids(7, max_order=7).representatives]
+    assert len(pool) == 70
+    for name, g in pool:
+        assert count_intertwining_maps(g) == loop_count_intertwining_maps(g), name
+
+
+def test_p310_count_is_predicted_before_any_work():
+    # units(12) has 12^12 unit assignments: the count is read off the fibers
+    g = corpus.unit_groupoid(12)
+    assert count_intertwining_maps(g) == 12 ** 12
+    verdict = full_report(g, ("P3.10",)).verdicts["P3.10"]
+    assert verdict == Verdict(None, f"skipped: {12 ** 12} intertwining maps exceed the sweep cap")
 
 
 def _hits_every_unit(g, phi):
