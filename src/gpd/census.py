@@ -18,7 +18,25 @@ deterministic.
 The canonical form is the least key, relabelled inverse array first, over
 the relabelings that keep each fingerprint class on its own block of ids.
 A class is closed under inversion, and the least inverse array puts each
-of its inverse pairs on two adjacent ids, so only those orders are tried.
+of its inverse pairs on two adjacent ids, so only those orders are tried;
+on all of them the inverse array is the same, and the product table,
+read row by row, decides.  ``canonical_form`` finds that least key by
+branch and bound (McKay and Piperno, Practical graph isomorphism II, J.
+Symb. Comput. 60, 2014).  A depth-first search gives new ids 0, 1, ... in
+order, each to a free member of its block, an inverse pair to two ids at
+once.  With ids 0..t-1 given, the cells (0, b), b < t, are the known
+prefix of the table (cell (0, t) is open, so no later row is).  A product
+value without an id will take one of its class's free ids, all >= t: the
+cell is decided when one is left, and otherwise every completion is
+larger than the best key found so far if best's entry is below the least
+of them.  A branch is dropped only when its decided prefix is larger, or
+such a cell is, after a prefix equal to best's; a tie is searched on,
+since a later cell may still be smaller.  Twins: self-inverse members x,
+y of one class whose transposition (x y) is an automorphism.  Then
+key(sigma . (x y)) = key(sigma), and with x and y both free, (x y) maps
+the subtree that gives the next id to x onto the one that gives it to y,
+so only the least free member of each twin class is tried.  The unit
+groupoid of order n, n! relabelings, evaluates one key.
 
 The probe records, for every census groupoid, whether it is principal and
 whether the two monoids meet only in j.  For finite discrete groupoids the
@@ -83,7 +101,18 @@ def _classes(g: Groupoid) -> list[list[int]]:
 def _block_orders(g: Groupoid, grp: list[int]):
     """The orders of one fingerprint class that can carry a least key: all
     of them for a class of self-inverse elements, otherwise every order of
-    its inverse pairs with each pair in either orientation."""
+    its inverse pairs with each pair in either orientation.
+
+    Every isomorphism respects the classes, so the least key over all
+    permutations inside the classes' blocks of ids is equal exactly for
+    isomorphic groupoids.  A key starts with the relabelled inverse array.
+    A class holds only self-inverse elements or none, and with x it holds
+    x^-1 (|r-fiber(u)| = |d-fiber(u)|).  A self-inverse block always reads
+    (s, s+1, ...).  On a block s..s+2m-1 without fixed points the segment
+    is at best (s+1, s, s+3, s+2, ...), reached exactly when every inverse
+    pair sits on adjacent ids.  So these m! 2^m orders, instead of (2m)!,
+    give the same least key.
+    """
     inv = g.inverse
     if inv[grp[0]] == grp[0]:
         yield from itertools.permutations(grp)
@@ -92,28 +121,6 @@ def _block_orders(g: Groupoid, grp: list[int]):
     for order in itertools.permutations(pairs):
         for oriented in itertools.product(*[(p, p[::-1]) for p in order]):
             yield tuple(itertools.chain.from_iterable(oriented))
-
-
-def _block_relabelings(g: Groupoid):
-    """Relabelings that send each fingerprint class onto a fixed block of
-    new ids (classes ordered by fingerprint) in one of its ``_block_orders``.
-
-    Every isomorphism respects the blocks, so the least key over all block
-    permutations is equal exactly for isomorphic groupoids.  A key starts
-    with the relabelled inverse array, so the least key has the least
-    inverse array.  A class holds only self-inverse elements or none, and
-    with x it holds x^-1 (|r-fiber(u)| = |d-fiber(u)|).  A self-inverse
-    block always reads (s, s+1, ...).  On a block s..s+2m-1 without fixed
-    points the segment is at best (s+1, s, s+3, s+2, ...), reached exactly
-    when every inverse pair sits on adjacent ids.  So these m! 2^m orders
-    per block, instead of (2m)!, give the same least key.
-    """
-    ordered = _classes(g)
-    for arrangement in itertools.product(*[_block_orders(g, grp) for grp in ordered]):
-        sigma = [0] * g.size
-        for new, old in enumerate(itertools.chain.from_iterable(arrangement)):
-            sigma[old] = new
-        yield sigma
 
 
 def _defined_cells(g: Groupoid) -> list[tuple[int, int, int]]:
@@ -131,9 +138,91 @@ def _relabel_key(g: Groupoid, sigma, cells) -> list[int]:
     return key
 
 
+def _swap_is_automorphism(g: Groupoid, x: int, y: int, cells) -> bool:
+    tau = list(range(g.size))
+    tau[x], tau[y] = y, x
+    prod = g.product
+    return all(prod[tau[a]][tau[b]] == tau[v] for a, b, v in cells)
+
+
+def _twins(g: Groupoid, classes: list[list[int]], cells) -> list[int]:
+    """twin[x]: the least member of x's twin class.  Self-inverse x and y
+    of one class are twins when the transposition (x y) is an automorphism;
+    conjugating (y z) by (x y) gives (x z), so twinship is an equivalence
+    and one test against each twin class's least member decides it."""
+    twin = list(range(g.size))
+    for grp in classes:
+        if g.inverse[grp[0]] != grp[0]:
+            continue
+        leaders: list[int] = []
+        for x in grp:
+            twin[x] = next((r for r in leaders if _swap_is_automorphism(g, r, x, cells)), x)
+            if twin[x] == x:
+                leaders.append(x)
+    return twin
+
+
 def canonical_form(g: Groupoid) -> tuple:
+    """The least ``_relabel_key`` over the relabelings that put each
+    fingerprint class on its block of ids in one of its ``_block_orders``,
+    found by branch and bound (see the module docstring)."""
+    n, prod, inv = g.size, g.product, g.inverse
     cells = _defined_cells(g)
-    return tuple(min(_relabel_key(g, sigma, cells) for sigma in _block_relabelings(g)))
+    classes = _classes(g)
+    class_of_id, start, end = [], [], []
+    class_of = [0] * n
+    for c, grp in enumerate(classes):
+        start.append(len(class_of_id))
+        class_of_id += [c] * len(grp)
+        end.append(len(class_of_id))
+        for x in grp:
+            class_of[x] = c
+    twin = _twins(g, classes, cells)
+    new, old = [-1] * n, [-1] * n
+    best = None
+
+    def beaten(t: int) -> bool:
+        """Whether every completion of ids 0..t-1 has a larger key than best.
+        Cells (0, b), b < t, are the known key prefix; a value with no id
+        yet takes one of its class's ids >= t."""
+        row = prod[old[0]]
+        for b in range(t):
+            v = row[old[b]]
+            if v != UNDEFINED:
+                if new[v] >= 0:
+                    v = new[v]
+                else:
+                    lo = max(start[class_of[v]], t)
+                    if end[class_of[v]] - lo > 1:
+                        return best[n + b] < lo
+                    v = lo
+            if v != best[n + b]:
+                return v > best[n + b]
+        return False
+
+    def search(t: int) -> None:
+        nonlocal best
+        if t == n:
+            key = _relabel_key(g, new, cells)
+            if best is None or key < best:
+                best = key
+            return
+        grp = classes[class_of_id[t]]
+        tried = set()
+        for x in grp:
+            if new[x] >= 0 or twin[x] in tried:
+                continue
+            tried.add(twin[x])
+            step = (x,) if inv[x] == x else (x, inv[x])
+            for i, y in enumerate(step):
+                new[y], old[t + i] = t + i, y
+            if best is None or not beaten(t + len(step)):
+                search(t + len(step))
+            for y in step:
+                new[y] = -1
+
+    search(0)
+    return tuple(best)
 
 
 def groupoid_from_canonical(key: tuple, size: int, name: str = "") -> Groupoid:
@@ -401,20 +490,23 @@ def _complete_products(n: int, iota, rng):
     yield from dfs(0)
 
 
-def _groups(m: int) -> list[Groupoid]:
-    """One group of each isomorphism class of order m.
-
-    The backtracker runs with the unit set {0}.  Any two involutions of
-    {1..m-1} with t fixed points are conjugate by a relabelling that fixes
-    0, so one inverse map per t meets every class.
-    """
-    found = {}
+def _one_unit_tables(m: int):
+    """The labelled group tables the census searches: unit 0, and one
+    inverse map per number t of self-inverse non-units.  Any two
+    involutions of {1..m-1} with t fixed points are conjugate by a
+    relabelling that fixes 0, so these meet every group of order m."""
     for t in range((m - 1) % 2, m, 2):
         iota = tuple(range(t + 1)) + tuple(x + 1 if (x - t) % 2 else x - 1
                                            for x in range(t + 1, m))
         for table in _complete_products(m, iota, (0,) * m):
-            g = make_groupoid(m, table, iota)
-            found.setdefault(canonical_form(g), g)
+            yield make_groupoid(m, table, iota)
+
+
+def _groups(m: int) -> list[Groupoid]:
+    """One group of each isomorphism class of order m."""
+    found = {}
+    for g in _one_unit_tables(m):
+        found.setdefault(canonical_form(g), g)
     return [found[key] for key in sorted(found)]
 
 
@@ -456,25 +548,21 @@ class Census:
         return len(self.representatives)
 
 
-def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census:
-    """Every groupoid on ``order`` labeled points, up to isomorphism.
-
-    One class per multiset of components (H, k) with sum |H| k^2 = order.
-    A class with automorphism group A has order!/|A| labelled copies, and
-    |Aut(H x pair(k))| = |Aut(H)| k! |H|^(k-1), with a further m! for a
-    component repeated m times; ``total_found`` sums these.
-    Deterministic: representatives are sorted by canonical form.
-    """
-    if order < 1:
-        raise ShapeError(f"order must be >= 1, got {order}")
-    if order > max_order:
-        raise CapExceeded(f"census order {order} exceeds cap {max_order}", predicted=order)
-    types = []  # (|H| k^2, H, k, |Aut(H x pair(k))|)
-    for m in range(1, order + 1):
+def _component_types(max_order: int) -> list[tuple[int, Groupoid, int, int]]:
+    """(|H| k^2, H, k, |Aut(H x pair(k))|) for every connected groupoid of
+    order at most max_order, with |Aut(H x pair(k))| = |Aut(H)| k! |H|^(k-1)."""
+    types = []
+    for m in range(1, max_order + 1):
         for h in _groups(m):
             aut = len(automorphisms(h))
             types += [(m * k * k, h, k, aut * math.factorial(k) * m ** (k - 1))
-                      for k in range(1, math.isqrt(order // m) + 1)]
+                      for k in range(1, math.isqrt(max_order // m) + 1)]
+    return types
+
+
+def _census(order: int, types) -> Census:
+    """The census of one order from ``_component_types`` of at least that
+    order: one class per multiset of types whose sizes sum to order."""
     keys = []
     total = 0
     for choice in _multisets([t[0] for t in types], order):
@@ -488,6 +576,22 @@ def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census
         for i, key in enumerate(sorted(keys))
     )
     return Census(order=order, representatives=reps, total_found=total)
+
+
+def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census:
+    """Every groupoid on ``order`` labeled points, up to isomorphism.
+
+    One class per multiset of components (H, k) with sum |H| k^2 = order.
+    A class with automorphism group A has order!/|A| labelled copies, with
+    a factor m! in |A| for a component repeated m times; ``total_found``
+    sums these.  Deterministic: representatives are sorted by canonical
+    form.
+    """
+    if order < 1:
+        raise ShapeError(f"order must be >= 1, got {order}")
+    if order > max_order:
+        raise CapExceeded(f"census order {order} exceeds cap {max_order}", predicted=order)
+    return _census(order, _component_types(order))
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +626,15 @@ def intersection_size(g: Groupoid) -> tuple[int, bool]:
 
 
 def census_through(max_order: int, census_cap: int) -> tuple[Census, ...]:
-    """The censuses of orders 1..max_order; refused whole above the cap."""
+    """The censuses of orders 1..max_order, sharing one list of component
+    types; refused whole above the cap."""
     if max_order < 1:
         raise ShapeError(f"order must be >= 1, got {max_order}")
     if max_order > census_cap:
         raise CapExceeded(f"order {max_order} exceeds census cap {census_cap}",
                           predicted=max_order)
-    return tuple(enumerate_groupoids(order, census_cap) for order in range(1, max_order + 1))
+    types = _component_types(max_order)
+    return tuple(_census(order, types) for order in range(1, max_order + 1))
 
 
 def converse_probe(max_order: int, censuses: tuple[Census, ...]) -> ProbeReport:

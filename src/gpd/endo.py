@@ -245,9 +245,14 @@ class MonoidTable:
     trans: np.ndarray
     maps: np.ndarray
 
+    @cached_property
+    def radix(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_radix`` of the table's groupoid and side, which ``rank`` reads."""
+        return _radix(self.groupoid, self.side)
+
     def rank(self, rows) -> np.ndarray:
         """The member index of each row of a (T, n) stack of maps, -1 off this side."""
-        return _rank(*_radix(self.groupoid, self.side), np.asarray(rows))
+        return _rank(*self.radix, np.asarray(rows))
 
     @cached_property
     def law_witness(self) -> tuple[int, int] | None:

@@ -167,9 +167,11 @@ def group_of_units(t: MonoidTable,
 
 
 def cayley_units(t: MonoidTable) -> tuple[int, ...]:
-    """The two-sided-invertible members, read from the Cayley table alone."""
-    m = t.op == t.identity
-    return tuple(int(i) for i in np.flatnonzero((m & m.T).any(axis=1)))
+    """The two-sided-invertible members, read from the Cayley table alone:
+    i such that i j = identity = j i for some j, tested only at the cells
+    of the identity."""
+    i, j = np.nonzero(t.op == t.identity)
+    return tuple(int(v) for v in np.unique(i[t.op[j, i] == t.identity]))
 
 
 def units_crosscheck(indices: Sequence[int], invertible: Sequence[int]) -> Verdict:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -280,8 +282,12 @@ def test_canonical_iso_agrees_with_brute_force():
 
 
 def _shift_relabel(g: Groupoid) -> Groupoid:
+    return _relabel(g, [(x + 1) % g.size for x in range(g.size)], g.name + "-shift")
+
+
+def _relabel(g: Groupoid, sigma, name: str = "") -> Groupoid:
+    """The copy of g in which element x is called sigma[x]."""
     n = g.size
-    sigma = [(x + 1) % n for x in range(n)]
     prod = [[-1] * n for _ in range(n)]
     inv = [0] * n
     for x in range(n):
@@ -290,7 +296,7 @@ def _shift_relabel(g: Groupoid) -> Groupoid:
             v = g.product[x][y]
             if v >= 0:
                 prod[sigma[x]][sigma[y]] = sigma[v]
-    return make_groupoid(n, prod, inv, g.name + "-shift")
+    return make_groupoid(n, prod, inv, name)
 
 
 @pytest.mark.parametrize("order,count", [(1, 1), (2, 2), (3, 3), (4, 7), (5, 9)])
@@ -427,6 +433,102 @@ def test_canonical_form_matches_full_block_search(census7):
     for rep in census7.representatives:
         g = _shift_relabel(rep)
         assert canonical_form(g) == oracle_canonical_form(g) == canonical_form(rep), rep.name
+
+
+# oracle 7: the exhaustive minimum over every block relabeling, each
+# fingerprint class in each of its ``_block_orders``.  ``canonical_form``
+# searches the same relabelings by branch and bound and must find the same
+# least key.
+
+
+def _block_relabelings(g: Groupoid):
+    for arrangement in itertools.product(*[census._block_orders(g, grp)
+                                           for grp in census._classes(g)]):
+        sigma = [0] * g.size
+        for new, old in enumerate(itertools.chain.from_iterable(arrangement)):
+            sigma[old] = new
+        yield sigma
+
+
+def oracle_block_minimum(g: Groupoid) -> tuple:
+    cells = census._defined_cells(g)
+    return tuple(min(census._relabel_key(g, sigma, cells) for sigma in _block_relabelings(g)))
+
+
+def _seeded_relabel(g: Groupoid, seed: int) -> Groupoid:
+    sigma = list(range(g.size))
+    random.Random(seed).shuffle(sigma)
+    return _relabel(g, sigma, g.name + "-relabelled")
+
+
+def test_canonical_form_matches_the_block_minimum_through_order_8():
+    classes = [rep for c in census.census_through(8, 8) for rep in c.representatives]
+    assert len(classes) == 102
+    for seed, rep in enumerate(classes):
+        g = _seeded_relabel(rep, seed)
+        assert canonical_form(g) == oracle_block_minimum(g) == canonical_form(rep), rep.name
+    tables = [g for m in range(1, 9) for g in census._one_unit_tables(m)]
+    assert len(tables) == 101
+    for g in tables:
+        assert canonical_form(g) == oracle_block_minimum(g), g.product
+
+
+def _keys_evaluated(monkeypatch, g: Groupoid) -> int:
+    """Complete keys ``canonical_form`` builds for g, one per leaf of its search."""
+    calls = Counter()
+    real = census._relabel_key
+
+    def counted(*args):
+        calls["keys"] += 1
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(census, "_relabel_key", counted)
+        canonical_form(g)
+    return calls["keys"]
+
+
+def test_twins_leave_the_unit_groupoid_one_key(monkeypatch):
+    # every transposition of units(8) is an automorphism: one branch per id
+    assert _keys_evaluated(monkeypatch, corpus.unit_groupoid(8)) == 1
+
+
+def _search_nodes(g: Groupoid) -> int:
+    """Calls of ``canonical_form``'s search, one per node of its tree."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "search" \
+                and frame.f_code.co_filename == census.__file__:
+            calls["nodes"] += 1
+
+    sys.setprofile(profile)
+    try:
+        canonical_form(g)
+    finally:
+        sys.setprofile(None)
+    return calls["nodes"]
+
+
+def test_the_bound_prunes_c2_cubed(monkeypatch):
+    # C2^3 has no twins (no transposition of its seven involutions is an
+    # automorphism) and 168 automorphisms.  Its 7! = 5040 block relabelings
+    # make a search tree of 18740 nodes; the bound leaves about 1500, and
+    # only leaves whose row 0 is no larger than the best key's build a key.
+    tables = [g for g in census._one_unit_tables(8) if g.inverse == tuple(range(8))]
+    assert len(tables) == 30 and len(automorphisms(tables[0])) == 168
+    for g in tables:
+        assert census._twins(g, census._classes(g), census._defined_cells(g)) == list(range(8))
+        assert 168 <= _keys_evaluated(monkeypatch, g) <= 5040 // 10
+        assert _search_nodes(g) <= 5040 // 2
+
+
+def test_twin_pruning_keeps_the_key_under_relabelling():
+    g = disjoint_union(corpus.cyclic(2), corpus.unit_groupoid(5))
+    key = canonical_form(g)
+    for seed in range(5):
+        h = _seeded_relabel(g, seed)
+        assert canonical_form(h) == key == oracle_block_minimum(h), seed
 
 
 def test_automorphisms_match_class_preserving_search(census7):

@@ -213,17 +213,23 @@ def test_search_census_dir(tmp_path, capsys):
 
 
 def test_search_census_dir_builds_each_census_once(tmp_path, monkeypatch):
-    calls = Counter()
-    real = census.enumerate_groupoids
+    calls, types = Counter(), Counter()
+    real, real_types = census._census, census._component_types
 
     def counted(order, *args):
         calls[order] += 1
         return real(order, *args)
 
-    monkeypatch.setattr(census, "enumerate_groupoids", counted)
+    def counted_types(order):
+        types[order] += 1
+        return real_types(order)
+
+    monkeypatch.setattr(census, "_census", counted)
+    monkeypatch.setattr(census, "_component_types", counted_types)
     assert run(["search", "--order", 3, "--census-dir", tmp_path / "census",
                 "-o", tmp_path / "with.json"]) == 0
     assert calls == {1: 1, 2: 1, 3: 1}
+    assert types == {3: 1}  # the component types are built once per search
     assert run(["search", "--order", 3, "-o", tmp_path / "without.json"]) == 0
     assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
