@@ -4,9 +4,11 @@
 The first line after the header times the two Cayley tables
 (``enumerate_monoid`` on both sides).  Every check id then runs on a fresh
 report context that holds copies of those tables with no cached facts, so
-a check pays for each fact it reads except the tables.  Figures are
-milliseconds, the best of three runs; no report is written, so nothing
-here reaches report bytes.
+a check pays for each fact it reads except the tables.  The last lines
+time the export layer on each side: ``io.dump_bytes`` of the ``gpd
+monoid`` payload and of the ``gpd rep`` payload, each dict built inside the
+timed call.  Figures are milliseconds, the best of three runs; nothing is
+written, so nothing here reaches report bytes.
 
 The groupoid is a ``standard_corpus()`` name or a groupoid file:
 
@@ -66,13 +68,17 @@ def main():
 
     print(f"{g.name or args.groupoid}: |S| = {len(tables[0])}, |S'| = {len(tables[1])}, "
           f"best of {REPEATS}, ms")
-    print(f"{'tables':<8}{best_ms(lambda _: [enumerate_monoid(g, side) for side in SIDES]):10.2f}")
+    print(f"{'tables':<10}{best_ms(lambda _: [enumerate_monoid(g, side) for side in SIDES]):10.2f}")
     total = 0.0
     for cid in CHECK_IDS:
         ms = best_ms(_CHECKS[cid], fresh_ctx)
         total += ms
-        print(f"{cid:<8}{ms:10.2f}")
-    print(f"{'checks':<8}{total:10.2f}")
+        print(f"{cid:<10}{ms:10.2f}")
+    print(f"{'checks':<10}{total:10.2f}")
+    for name, to_dict in (("monoid", io.monoid_to_dict), ("rep", io.rep_to_dict)):
+        for t in tables:
+            ms = best_ms(lambda t: io.dump_bytes(to_dict(t)), lambda: t)
+            print(f"{name + ' ' + t.side:<10}{ms:10.2f}")
     return 0
 
 

@@ -22,6 +22,14 @@ value is looked up in a table of the decimal strings of ``0 .. max`` and
 each innermost row is one ``str.join``.  Any other array (0-d, empty,
 negative, bool, float, or a value >= its size) is written as its
 ``tolist()``.
+
+A ``Rows`` value is a list of records held column by column: record k is
+``{key: column[k]}`` over its columns, and it is written as that list of
+dicts.  Each column is one array, so it takes one range test, one token
+table and one gather, however many records there are; a column whose
+records are not non-empty arrays with values in ``0 .. column.size - 1``
+is written from its ``tolist()``.  The operator export is one ``Rows``
+over the stack of maps and the stack of matrices.
 """
 
 from __future__ import annotations
@@ -62,14 +70,59 @@ def _write_tokens(rows: list, pad: str, out: list):
     out += ("\n", pad, "]")
 
 
-def _write_array(arr: np.ndarray, pad: str, out: list):
-    if arr.dtype.kind in "iu" and arr.ndim and arr.size:
+def _tokens(arr: np.ndarray, lead: int = 0):
+    """``arr`` as nested lists of decimal strings, or None unless it is an
+    integer array of more than ``lead`` axes with values in ``0 .. size - 1``."""
+    if arr.dtype.kind in "iu" and arr.ndim > lead and arr.size:
         top = int(arr.max())
         if top < arr.size and arr.min() >= 0:  # the token table is no larger than arr
-            tokens = np.array([str(v) for v in range(top + 1)], dtype=object)
-            _write_tokens(tokens[arr].tolist(), pad, out)
-            return
-    _write(arr.tolist(), pad, out)
+            return np.array([str(v) for v in range(top + 1)], dtype=object)[arr].tolist()
+    return None
+
+
+def _write_array(arr: np.ndarray, pad: str, out: list):
+    tokens = _tokens(arr)
+    if tokens is None:
+        _write(arr.tolist(), pad, out)
+    else:
+        _write_tokens(tokens, pad, out)
+
+
+@dataclasses.dataclass(frozen=True)
+class Rows:
+    """A list of records held as columns of equal length: record k is
+    ``{key: column[k] for key, column in columns.items()}``."""
+
+    columns: dict
+
+    def __post_init__(self):
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError("Rows columns differ in length")
+
+    def tolist(self) -> list:
+        values = zip(*(column.tolist() for column in self.columns.values()))
+        return [dict(zip(self.columns, record)) for record in values]
+
+
+def _write_rows(rows: Rows, pad: str, out: list):
+    keys = sorted(rows.columns) if {str}.issuperset(map(type, rows.columns)) else ()
+    if not keys or not len(rows.columns[keys[0]]):  # no records, or keys only json.dumps sorts
+        _write(rows.tolist(), pad, out)
+        return
+    inner, field = pad + "  ", pad + "    "
+    fields = []
+    for n, key in enumerate(keys):
+        head = (",\n" if n else "{\n") + field + encode_basestring_ascii(key) + ": "
+        tokens = _tokens(rows.columns[key], lead=1)  # each record a non-empty array
+        fields.append((head, _write, rows.columns[key].tolist()) if tokens is None
+                      else (head, _write_tokens, tokens))
+    for n in range(len(rows.columns[keys[0]])):
+        out += (",\n" if n else "[\n", inner)
+        for head, write, values in fields:
+            out.append(head)
+            write(values[n], field, out)
+        out += ("\n", inner, "}")
+    out += ("\n", pad, "]")
 
 
 def _write(obj: Any, pad: str, out: list):
@@ -91,6 +144,8 @@ def _write(obj: Any, pad: str, out: list):
         out += ("\n", pad, "}")
     elif kind is np.ndarray:
         _write_array(obj, pad, out)
+    elif kind is Rows:
+        _write_rows(obj, pad, out)
     else:  # empty containers, non-str keys, subclasses, unserializable values
         out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
 
@@ -195,11 +250,11 @@ def monoid_to_dict(t: MonoidTable) -> dict:
 
 
 def rep_to_dict(t: MonoidTable) -> dict:
-    """Every member's map and operator matrix, gathered at once from ``t.trans``."""
+    """Every member's map and operator matrix, as two stacks gathered at once."""
     g = t.groupoid
     matrices = np.eye(g.size, dtype=np.int8)[t.trans]  # row x has its 1 in column tau(x)
     return {"groupoid": g.name, "side": t.side,
-            "operators": [{"fn": fn, "matrix": m} for fn, m in zip(t.maps, matrices)]}
+            "operators": Rows({"fn": t.maps, "matrix": matrices})}
 
 
 def linop_to_dict(fn: Sequence[int], op: LinOp) -> dict:

@@ -112,8 +112,8 @@ def stdlib_bytes(obj) -> bytes:
 
 
 def listed(obj):
-    """``obj`` with every ndarray replaced by its ``tolist()``."""
-    if isinstance(obj, np.ndarray):
+    """``obj`` with every ndarray and ``io.Rows`` replaced by its ``tolist()``."""
+    if isinstance(obj, (np.ndarray, io.Rows)):
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: listed(v) for k, v in obj.items()}
@@ -131,11 +131,20 @@ def rep_payload(g, side):
             "operators": [io.linop_to_dict(f.map, build(f)) for f in members]}
 
 
-@pytest.mark.parametrize("name, side", [("C4", "S"), ("pair(2)", "S'"), ("transform", "S")])
+def rep_groupoids():
+    """The table-sized corpus members and C3 + C3, by name."""
+    named = {name: g for name, g in corpus.standard_corpus() if name != "pair(3)"}
+    named["C3+C3"] = disjoint_union(corpus.cyclic(3), corpus.cyclic(3))
+    return named
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", list(rep_groupoids()))
 def test_rep_export_equals_the_scalar_operators(tmp_path, name, side):
-    # gpd rep reads rows of maps and trans; the payload built member by
-    # member from left_operator / right_operator must give the same bytes
-    g = dict(corpus.standard_corpus())[name]
+    # gpd rep writes the stacks of maps and matrices as columns; the payload
+    # built member by member from left_operator / right_operator must give
+    # the same bytes (the trivial groupoid's [[1]] column takes no tokens)
+    g = rep_groupoids()[name]
     path, out = tmp_path / "g.json", tmp_path / "rep.json"
     io.save_groupoid(path, g)
     assert cli.main(["rep", str(path), "--side", side, "-o", str(out)]) == 0
@@ -212,6 +221,79 @@ ARRAYS = [
 @pytest.mark.parametrize("obj", ARRAYS, ids=range(len(ARRAYS)))
 def test_dump_bytes_writes_arrays_as_their_lists(obj):
     assert io.dump_bytes(obj) == stdlib_bytes(listed(obj))
+
+
+def stack(values, dtype=np.int64):
+    return np.array(values, dtype=dtype)
+
+
+ROWS = [
+    io.Rows({"fn": stack([[0, 1]]), "matrix": np.eye(2, dtype=np.int8)[None]}),  # one record
+    io.Rows({"fn": stack([[0]]), "matrix": stack([[[1]]], np.int8)}),  # n = 1, [[1]] untokenized
+    io.Rows({"fn": np.zeros((3, 1), dtype=int), "matrix": np.ones((3, 1, 1), dtype=np.int8)}),
+    io.Rows({"a": stack([[0, 5], [1, 2], [3, 4]])}),  # a value >= its record's size
+    io.Rows({"a": stack([[0, 9]]), "b": stack([[1, 0]])}),  # a value >= its column's size
+    io.Rows({"a": stack([[0, -1], [1, 0]]), "b": stack([[1], [0]], np.uint8)}),  # negative
+    io.Rows({"i": stack([[0, 1], [1, 0]]), "f": stack([[0.5, -0.0], [1.0, 2.0]], float),
+             "b": stack([True, False], bool), "u": stack([[[1]], [[0]]], np.uint64)}),
+    io.Rows({"s": stack([2, 0, 1]), "t": stack([[1, 0], [0, 1], [1, 1]])}),  # scalar records
+    io.Rows({"e": np.zeros((2, 0), dtype=int), "m": np.zeros((2, 3, 0), dtype=np.int8)}),
+    io.Rows({"a": np.zeros((0, 2), dtype=int)}), io.Rows({}),
+    io.Rows({"b\u00e9": stack([[0]]), "a\"": stack([[0]])}),
+    io.Rows({1: stack([[0, 1]]), 0: stack([[1, 0]])}),  # keys only json.dumps sorts
+    {"ops": io.Rows({"x": stack([[0, 1], [1, 1]])}), "n": [io.Rows({"y": stack([[[0]]])}), 1]},
+]
+
+
+@pytest.mark.parametrize("obj", ROWS, ids=range(len(ROWS)))
+def test_dump_bytes_writes_rows_as_their_lists(obj):
+    assert io.dump_bytes(obj) == stdlib_bytes(listed(obj))
+
+
+def test_rows_refuse_columns_of_different_lengths():
+    with pytest.raises(ValueError):
+        io.Rows({"a": np.zeros((2, 1), dtype=int), "b": np.zeros((3, 1), dtype=int)})
+
+
+@st.composite
+def int_rows(draw):
+    records = draw(st.integers(0, 4))
+    columns = {}
+    for key in draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True)):
+        dtype = np.dtype(draw(st.sampled_from(["int8", "uint8", "int16", "int64", "uint64"])))
+        shape = (records, *draw(st.lists(st.integers(0, 3), max_size=3)))
+        size = int(np.prod(shape, dtype=np.int64))
+        low = draw(st.sampled_from([0, -2]) if dtype.kind == "i" else st.just(0))
+        top = draw(st.sampled_from([0, 1, max(size - 1, 0), size, 2 * size + 1]))
+        values = draw(st.lists(st.integers(low, max(low, top)), min_size=size, max_size=size))
+        columns[key] = np.array(values, dtype=dtype).reshape(shape)
+    return io.Rows(columns)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=int_rows())
+def test_dump_bytes_matches_stdlib_on_random_rows(rows):
+    assert io.dump_bytes(rows) == stdlib_bytes(rows.tolist())
+    assert io.dump_bytes({"x": [rows]}) == stdlib_bytes({"x": [rows.tolist()]})
+
+
+def test_rep_builds_one_token_table_per_column(tmp_path, monkeypatch):
+    # the operator export is two stacks, so gpd rep on C4 builds two token
+    # tables (maps and matrices), not one per member
+    calls, tokens = [], io._tokens
+
+    def spy(arr, lead=0):
+        result = tokens(arr, lead)
+        calls.append((arr.shape, lead, result is not None))
+        return result
+
+    monkeypatch.setattr(io, "_tokens", spy)
+    path, out = tmp_path / "c4.json", tmp_path / "rep.json"
+    io.save_groupoid(path, corpus.cyclic(4))
+    for side in SIDES:
+        assert cli.main(["rep", str(path), "--side", side, "-o", str(out)]) == 0
+        assert calls == [((256, 4), 1, True), ((256, 4, 4), 1, True)], side
+        calls.clear()
 
 
 def test_only_in_range_integer_arrays_take_the_token_table(monkeypatch):
