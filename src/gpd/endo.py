@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -272,8 +272,13 @@ class MonoidTable:
         return f"<monoid {self.side} of {self.groupoid!r}: {len(self)} elements>"
 
 
-_CODE_BOUND = 1 << 62    # every translation code and partial sum stays below this
+_CODE_BOUND = 1 << 53    # float64 holds every integer up to 2^53, so codes and partial sums are exact
 _BLOCK_CELLS = 1 << 14   # table cells per row block of the law scan
+
+
+def _code_width(n: int) -> int:
+    """Base-n digits per code group: the most w <= n with n^w <= _CODE_BOUND."""
+    return max(w for w in range(1, n + 1) if n ** w <= _CODE_BOUND)
 
 
 def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int] | None:
@@ -284,35 +289,31 @@ def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int
     Every cell is compared exactly, one block of rows at a time.  A
     translation tau is coded by its values as base-n digits,
     code(tau) = sum_x n^x tau(x), over groups of at most w positions with
-    n^w <= 2^62, so each code is a distinct int64 below 2^62.  With
+    n^w <= 2^53, so each code is a distinct integer below 2^53.  With
     A[i, y] = sum of n^x over the positions x of the group where
-    tau_i(x) = y, and cols[y, k] = tau_k(y), the integer product
+    tau_i(x) = y, and cols[y, k] = tau_k(y), the float64 product
     (A @ cols)[i, k] = sum_x n^x tau_k(tau_i(x)) is the code of
-    tau_k o tau_i; its terms are non-negative, so no partial sum reaches
-    2^62 and nothing overflows.  Codes are equal exactly when the digits
+    tau_k o tau_i, exactly: every term and partial sum is an integer in
+    [0, n^w - 1], which float64 holds in any summation order, with or without
+    FMA and on any BLAS thread count.  Codes are equal exactly when the digits
     are, so the law holds at (i, j) iff the codes agree in every group.
     """
     total, n = trans.shape
-    cols = np.ascontiguousarray(trans.T, dtype=np.int64)  # cols[y, k] = tau_k(y)
-    width = 1
-    while width < n and n ** (width + 1) <= _CODE_BOUND:
-        width += 1
+    cols = np.ascontiguousarray(trans.T, dtype=np.float64)  # cols[y, k] = tau_k(y)
+    width = _code_width(n)
     rows = np.arange(total)
     groups = []  # (A, code) per group of positions
     for lo in range(0, n, width):
         digits = trans[:, lo:lo + width]
-        weights = n ** np.arange(digits.shape[1], dtype=np.int64)
-        a = np.zeros((total, n), dtype=np.int64)
+        weights = (n ** np.arange(digits.shape[1], dtype=np.int64)).astype(np.float64)
+        a = np.zeros((total, n))
         for x, w in enumerate(weights):
             a[rows, digits[:, x]] += w
-        groups.append((a, digits.astype(np.int64) @ weights))
+        groups.append((a, digits @ weights))
     step = max(1, _BLOCK_CELLS // total)
     for i0 in range(0, total, step):
         block = op[i0:i0 + step]
-        bad = None
-        for a, code in groups:
-            diff = a[i0:i0 + step] @ cols != code.take(block)
-            bad = diff if bad is None else bad | diff
+        bad = reduce(np.logical_or, (a[i0:i0 + step] @ cols != code.take(block) for a, code in groups))
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), total)
             return i0 + i, j
@@ -327,8 +328,7 @@ def enumerate_monoid(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP
     products.  The translation certificate proves closure and associativity
     first; the table is then summed from its rows, each expanded over all
     members by one gather (``_product_columns``), since member indices are
-    mixed-radix numbers of fiber positions:
-    op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]].
+    mixed-radix numbers of fiber positions (``_cayley_table``).
     """
     pred = _checked_size(g, side, cap)
     if pred * pred > PRODUCT_CAP:
@@ -343,10 +343,7 @@ def enumerate_monoid(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP
     if not assoc_ok:
         raise MembershipError(f"translation certificate fails at {witness}")
     pos, strides = _radix(g, side)
-    op = np.zeros((total, total), dtype=np.int32)
-    for x, col in enumerate(_product_columns(rows, strides, total)):  # axis 1 below is digit_x(i)
-        if len(col) > 1:  # a one-value fiber only adds position 0
-            op.reshape(-1, len(col), strides[x], total)[...] += (pos[x, col] * strides[x])[:, None]
+    op = _cayley_table(_product_columns(rows, strides, total), pos, strides, total)
     identity = int(_rank(pos, strides, np.array([g.range_map if side == "S" else g.domain_map]))[0])
     idx = np.arange(total)
     if identity < 0 or not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
@@ -447,6 +444,20 @@ def _certificate(ker: _Kernel, side: str):
             law_witness = ("injectivity", cs.index(cs[dup]) * strides[x], dup * strides[x])
             break
     return True, conditions, law_witness is None, law_witness, rows
+
+
+def _cayley_table(cols: list[np.ndarray], pos: np.ndarray, strides: np.ndarray, total: int) -> np.ndarray:
+    """op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]].  Digits of
+    positions with stride >= lo, the least stride whose square reaches |S|, depend
+    on i // lo alone, the rest on i % lo: each term fills a (|S| / lo, |S|) or a
+    (lo, |S|) table, and one broadcast sum of the two writes op."""
+    lo = min((s for s in strides.tolist() if s * s >= total), default=total)
+    hi, low = np.zeros((total // lo, total), dtype=np.int32), np.zeros((lo, total), dtype=np.int32)
+    for x, col in enumerate(cols):  # axis 1 below is digit_x(i)
+        if len(col) > 1:  # a one-value fiber only adds position 0
+            part, stride = (hi, strides[x] // lo) if strides[x] >= lo else (low, strides[x])
+            part.reshape(-1, len(col), stride, total)[...] += (pos[x, col] * strides[x])[:, None]
+    return (hi[:, None] + low[None]).reshape(total, total)
 
 
 def _product_columns(rows, strides: np.ndarray, size: int) -> list[np.ndarray]:

@@ -54,12 +54,11 @@ class SpecialElements:
 
 
 def special_elements(t: MonoidTable) -> SpecialElements:
-    op = t.op
-    n = len(t)
-    diag = op[np.arange(n), np.arange(n)]
-    idem = np.flatnonzero(diag == np.arange(n))
-    right = np.flatnonzero((op == np.arange(n)[None, :]).all(axis=0))
-    left = np.flatnonzero((op == np.arange(n)[:, None]).all(axis=1))
+    op, idx = t.op, np.arange(len(t))
+    idem = np.flatnonzero(op[idx, idx] == idx)
+    # z is a right (left) zero when its column (row) holds only z: min and max are z
+    right = np.flatnonzero((op.min(axis=0) == idx) & (op.max(axis=0) == idx))
+    left = np.flatnonzero((op.min(axis=1) == idx) & (op.max(axis=1) == idx))
     return SpecialElements(tuple(map(int, idem)), tuple(map(int, right)), tuple(map(int, left)))
 
 
@@ -170,7 +169,7 @@ def cayley_units(t: MonoidTable) -> tuple[int, ...]:
     """The two-sided-invertible members, read from the Cayley table alone:
     i such that i j = identity = j i for some j, tested only at the cells
     of the identity."""
-    i, j = np.nonzero(t.op == t.identity)
+    i, j = np.divmod(np.flatnonzero(t.op == t.identity), len(t))
     return tuple(int(v) for v in np.unique(i[t.op[j, i] == t.identity]))
 
 

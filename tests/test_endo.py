@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd import corpus, endo
+from gpd.census import enumerate_groupoids
 from gpd.endo import (
+    PRODUCT_CAP,
     LawScan,
     _Kernel,
+    _cayley_table,
     _certificate,
     _product_columns,
     _radix,
@@ -464,6 +467,68 @@ def test_law_scan_deterministic(pair3):
     a = law_scan(pair3, "S")
     b = law_scan(pair3, "S")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Cayley-table fill against the per-position sum it replaced
+
+
+def fill_oracle(cols, pos, strides, total):
+    """op[i, j] = sum_x strides[x] * pos[x, cols[x][digit_x(i), j]], added
+    position by position over all |S|^2 cells."""
+    op = np.zeros((total, total), dtype=np.int32)
+    for x, col in enumerate(cols):  # axis 1 below is digit_x(i)
+        op.reshape(-1, len(col), strides[x], total)[...] += (pos[x, col] * strides[x])[:, None]
+    return op
+
+
+def fill_inputs(g, side):
+    """The rows, radix and size that ``enumerate_monoid`` fills one side's table from."""
+    rows = _certificate(_Kernel(g), side)[4]
+    pos, strides = _radix(g, side)
+    total = predicted_size(g, side)
+    return _product_columns(rows, strides, total), pos, strides, total
+
+
+def test_one_pass_fill_matches_per_position_oracle(small_corpus):
+    c2 = corpus.cyclic(2)
+    split = corpus.disjoint_union(corpus.disjoint_union(c2, corpus.unit_groupoid(1)), c2)
+    # strides 8, 4, 4, 2, 1: the split stride 4, the least whose square reaches
+    # |S| = 16, is also the stride of the one-value fiber of the unit at id 2
+    assert _radix(split, "S")[1].tolist() == [8, 4, 4, 2, 1]
+    cases = list(small_corpus) + [
+        ("C3+C3", corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3))),
+        ("units(1)", corpus.unit_groupoid(1)),  # |S| = 1
+        ("C2+unit+C2", split),
+    ]
+    cases += [(g.name, g) for order in range(1, 7) for g in enumerate_groupoids(order).representatives]
+    checked = 0
+    for name, g in cases:
+        for side in ("S", "S'"):
+            if predicted_size(g, side) ** 2 > PRODUCT_CAP:
+                continue
+            oracle = fill_oracle(*fill_inputs(g, side))
+            assert np.array_equal(enumerate_monoid(g, side).op, oracle), (name, side)
+            checked += 1
+    assert checked == 2 * (len(small_corpus) + 3) + 72  # four order-6 sides (|S| = 46656) are over the cap
+
+
+@pytest.mark.parametrize("ks", [
+    (1,), (1, 1, 1),  # |S| = 1
+    (5,), (5, 1, 1),  # a single position with more than one value: no stride's square reaches |S|
+    (1, 1, 4, 1),  # a single position with more than one value, after two one-value fibers
+    (3, 1, 3), (2, 2, 1, 2, 2),  # the split stride is a one-value fiber's
+    (2, 3, 4), (7, 2), (2, 7), (3, 3, 3, 3), (4, 1, 1, 4, 2),
+])
+def test_one_pass_fill_on_edge_shapes(ks):
+    # the fill is arithmetic on fiber positions, so any values in each fiber
+    # test it, including shapes no groupoid has
+    rng = np.random.default_rng(sum(k * 10 ** x for x, k in enumerate(ks)))
+    total = math.prod(ks)
+    strides = np.array([math.prod(ks[x + 1:]) for x in range(len(ks))], dtype=np.int64)
+    pos = np.tile(np.arange(max(ks)), (len(ks), 1))  # fiber x holds the values 0 .. ks[x] - 1
+    cols = [rng.integers(0, k, size=(k, total)) for k in ks]
+    assert np.array_equal(_cayley_table(cols, pos, strides, total), fill_oracle(cols, pos, strides, total))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from gpd import corpus
 from gpd.endo import (
+    _code_width,
     enumerate_monoid,
     gfun,
     involution_indices,
@@ -289,13 +290,29 @@ def test_translation_law_witness_on_the_mixed_action(c3, pair2):
             assert translation_law_witness(trans, op) == loop_law_witness(trans, op) == (i, j)
 
 
+def test_translation_codes_are_exact_in_float64():
+    # a group of w positions codes below n^w <= 2^53, where float64 holds
+    # every integer, and is as wide as that allows
+    for n in range(2, 65):
+        w = _code_width(n)
+        assert 1 <= w <= n and n ** w <= 2 ** 53 and (w == n or n ** (w + 1) > 2 ** 53), n
+        # the largest codes, n^w - 1 against n^w - 2 in the first group, differ
+        # by 1 in their lowest digit alone: tau_1 o tau_1 is constant n - 1, and
+        # the table claims tau_1, whose value at position 0 is n - 2
+        trans = np.full((2, n), n - 1, dtype=np.int32)
+        trans[1, 0] = n - 2
+        op = np.array([[0, 0], [0, 1]])
+        expected = (1, 1) if n > 2 else None  # for n = 2, tau_1 is the identity
+        assert translation_law_witness(trans, op) == loop_law_witness(trans, op) == expected, n
+
+
 @pytest.mark.parametrize("extra, units, n", [(2, 14, 16), (3, 17, 20)])
 def test_translation_law_witness_across_position_groups(extra, units, n):
-    # base n codes span at most floor(62 / log2 n) positions, so n = 16 and
+    # base n codes span at most floor(53 / log2 n) positions, so n = 16 and
     # n = 20 split the positions into two groups; a fault at the last
     # position is seen by the second group alone
     g = corpus.disjoint_union(corpus.cyclic(extra), corpus.unit_groupoid(units))
-    assert g.size == n and n ** n > 2 ** 62
+    assert g.size == n and _code_width(n) < n <= 2 * _code_width(n)
     for side in ("S", "S'"):
         t = enumerate_monoid(g, side)
         total = len(t)

@@ -87,6 +87,60 @@ def test_j_always_idempotent_right_zero(small_corpus):
             assert j in spec.right_zeros, name
 
 
+def special_elements_loop(op):
+    """Idempotents, right zeros and left zeros cell by cell from their definitions."""
+    op = op.tolist()
+    n = len(op)
+    return (tuple(i for i in range(n) if op[i][i] == i),
+            tuple(z for z in range(n) if all(op[s][z] == z for s in range(n))),
+            tuple(z for z in range(n) if all(op[z][s] == z for s in range(n))))
+
+
+def cayley_units_loop(op, identity):
+    """The i with i j = identity = j i for some j, cell by cell."""
+    op = op.tolist()
+    n = len(op)
+    return tuple(i for i in range(n)
+                 if any(op[i][j] == identity == op[j][i] for j in range(n)))
+
+
+def test_table_reads_match_cell_loops_and_see_one_moved_cell(small_corpus):
+    moved = 0
+    for name, g in small_corpus:
+        for side in ("S", "S'"):
+            t = enumerate_monoid(g, side)
+            n = len(t)
+            assert cayley_units(t) == cayley_units_loop(t.op, t.identity), (name, side)
+            # the opposite table turns right zeros into left zeros
+            for op in (t.op, t.op.T):
+                spec = special_elements(dataclasses.replace(t, op=op))
+                assert dataclasses.astuple(spec) == special_elements_loop(op), (name, side)
+                if n == 1:
+                    continue  # a one-member table has no other value to move a cell to
+                # one cell of a right zero's column (a left zero's row) moved
+                for z, cell in ([(z, (n - 1, z)) for z in spec.right_zeros[:1]]
+                                + [(z, (z, n - 1)) for z in spec.left_zeros[:1]]):
+                    mutant_op = op.copy()
+                    mutant_op[cell] = (z + 1) % n
+                    mutant = special_elements(dataclasses.replace(t, op=mutant_op))
+                    assert dataclasses.astuple(mutant) == special_elements_loop(mutant_op), (name, side)
+                    assert z not in mutant.right_zeros + mutant.left_zeros, (name, side, cell)
+                    moved += 1
+            if n == 1:
+                continue
+            # the cell v u = identity of one unit u moved: u is no longer a unit
+            units = cayley_units(t)
+            u = units[-1]
+            v = int(np.flatnonzero(t.op[u] == t.identity)[0])
+            op = t.op.copy()
+            op[v, u] = (t.identity + 1) % n
+            mutant = cayley_units(dataclasses.replace(t, op=op))
+            assert mutant == cayley_units_loop(op, t.identity), (name, side)
+            assert u not in mutant, (name, side)
+            moved += 1
+    assert moved == 2 * 7 * 3  # both sides of the 7 members with |S| > 1: two zeros, one unit
+
+
 def _j_is_left_zero(t):
     j = j_index(t)
     return bool((t.op[j] == j).all())
