@@ -10,10 +10,13 @@ a composite is the composite of the two.
 ``enumerate_groupoids`` builds the census from the structure theorem: a
 connected finite groupoid is isomorphic to H x pair(k), H its isotropy
 group (Brown, Topology and Groupoids), so the classes of order n are the
-multisets of components (H, k) with sum |H| k^2 = n.  The groups H come
-from a backtracker over one-unit product tables.  Each class is built
-once and sorted by its canonical form, so representatives are
-deterministic.
+multisets of components (H, k) with sum |H| k^2 = n.  The groups H are
+cyclic extensions: a finite solvable group has a normal subgroup N of
+prime index p, so it is <N, t> with t^p = z, and conjugation by t is an
+automorphism phi of N fixing z, with phi^p equal to conjugation by z.
+Every group of order below 60 is solvable, so ``_groups`` builds them
+all from the groups of order m/p.  Each class is built once and sorted
+by its canonical form, so representatives are deterministic.
 
 The canonical form is the least key, relabelled inverse array first, over
 the relabelings that keep each fingerprint class on its own block of ids.
@@ -399,114 +402,39 @@ def transformation_embedding_audit(action: GroupAction) -> Verdict:
 # the census from the structure theorem
 
 
-def _complete_products(n: int, iota, rng):
-    """Backtrack over the product table consistent with (iota, rng).
-
-    dom is rng . iota; cells exist exactly where rng[y] == dom[x].  Each
-    assignment x y = z forces iota[x] z = y, z iota[y] = x and
-    iota[y] iota[x] = iota[z]; rows and columns stay duplicate-free by
-    cancellation.  Completed tables still get a final associativity scan.
-    """
-    dom = tuple(rng[iota[x]] for x in range(n))
-    fibers: dict[tuple[int, int], list[int]] = {}
-    for z in range(n):
-        fibers.setdefault((rng[z], dom[z]), []).append(z)
-
-    table = [[UNDEFINED] * n for _ in range(n)]
-    row_used = [set() for _ in range(n)]
-    col_used = [set() for _ in range(n)]
-    cells = [(x, y) for x in range(n) for y in range(n) if rng[y] == dom[x]]
-
-    def assign(x, y, z, trail):
-        stack = [(x, y, z)]
-        while stack:
-            a, b, c = stack.pop()
-            cur = table[a][b]
-            if cur != UNDEFINED:
-                if cur != c:
-                    return False
-                continue
-            if rng[c] != rng[a] or dom[c] != dom[b]:
-                return False
-            if c in row_used[a] or c in col_used[b]:
-                return False
-            table[a][b] = c
-            row_used[a].add(c)
-            col_used[b].add(c)
-            trail.append((a, b, c))
-            stack.append((iota[a], c, b))
-            stack.append((c, iota[b], a))
-            stack.append((iota[b], iota[a], iota[c]))
-        return True
-
-    def undo(trail, mark):
-        while len(trail) > mark:
-            a, b, c = trail.pop()
-            table[a][b] = UNDEFINED
-            row_used[a].discard(c)
-            col_used[b].discard(c)
-
-    trail: list[tuple[int, int, int]] = []
-    for x in range(n):
-        if not assign(rng[x], x, x, trail):
-            return
-        if not assign(x, dom[x], x, trail):
-            return
-        if not assign(x, iota[x], rng[x], trail):
-            return
-        if not assign(iota[x], x, dom[x], trail):
-            return
-
-    def associative() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = table[x][y]
-                if xy == UNDEFINED:
-                    continue
-                for z in range(n):
-                    yz = table[y][z]
-                    if yz == UNDEFINED:
-                        continue
-                    if table[xy][z] != table[x][yz]:
-                        return False
-        return True
-
-    def dfs(pos):
-        while pos < len(cells) and table[cells[pos][0]][cells[pos][1]] != UNDEFINED:
-            pos += 1
-        if pos == len(cells):
-            if associative():
-                yield [row[:] for row in table]
-            return
-        x, y = cells[pos]
-        for z in fibers.get((rng[x], dom[y]), ()):
-            if z in row_used[x] or z in col_used[y]:
-                continue
-            mark = len(trail)
-            if assign(x, y, z, trail):
-                yield from dfs(pos + 1)
-            undo(trail, mark)
-
-    yield from dfs(0)
-
-
-def _one_unit_tables(m: int):
-    """The labelled group tables the census searches: unit 0, and one
-    inverse map per number t of self-inverse non-units.  Any two
-    involutions of {1..m-1} with t fixed points are conjugate by a
-    relabelling that fixes 0, so these meet every group of order m."""
-    for t in range((m - 1) % 2, m, 2):
-        iota = tuple(range(t + 1)) + tuple(x + 1 if (x - t) % 2 else x - 1
-                                           for x in range(t + 1, m))
-        for table in _complete_products(m, iota, (0,) * m):
-            yield make_groupoid(m, table, iota)
-
-
 def _groups(m: int) -> list[Groupoid]:
-    """One group of each isomorphism class of order m."""
+    """One group of each isomorphism class of order m < 60, by cyclic
+    extension.
+
+    A finite solvable group G > 1 has a normal subgroup N of prime index
+    p, so G = <N, t> with t^p = z in N, and phi = conjugation by t is an
+    automorphism of N with phi(z) = z and phi^p equal to conjugation by z.
+    Every group of order below 60 is solvable (A5, of order 60, is the
+    least that is not), so trying every such (phi, z) on every N of
+    ``_groups(m // p)``, for each prime p dividing m, meets every class.
+    The element a t^i gets id i |N| + a, with
+    (a t^i)(b t^j) = a phi^i(b) z^[i+j >= p] t^((i+j) mod p).
+    """
+    if m >= 60:
+        raise CapExceeded(f"groups of order {m} >= 60 need not be solvable", predicted=m)
+    if m == 1:
+        return [make_groupoid(1, [[0]], [0])]
     found = {}
-    for g in _one_unit_tables(m):
-        found.setdefault(canonical_form(g), g)
+    for p in [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]:
+        for n in _groups(m // p):
+            k, mul, e = n.size, n.product, n.units[0]
+            for phi in automorphisms(n):
+                pows = [range(k)]  # pows[i][b] = phi^i(b)
+                for _ in range(p):
+                    pows.append([phi[b] for b in pows[-1]])
+                for z in range(k):
+                    if phi[z] != z or any(mul[pows[p][a]][z] != mul[z][a] for a in range(k)):
+                        continue
+                    prod = [[(i + j) % p * k + mul[mul[a][pows[i][b]]][z if i + j >= p else e]
+                             for j in range(p) for b in range(k)]
+                            for i in range(p) for a in range(k)]
+                    g = make_groupoid(m, prod, [row.index(e) for row in prod])
+                    found.setdefault(canonical_form(g), g)
     return [found[key] for key in sorted(found)]
 
 

@@ -11,7 +11,6 @@ from gpd import census, corpus, endo
 from gpd.census import (
     Census,
     Isomorphism,
-    _complete_products,
     _fingerprints,
     _groups,
     as_isomorphism,
@@ -28,7 +27,7 @@ from gpd.census import (
 )
 from gpd.endo import GFun, enumerate_monoid, gfun, iter_monoid_maps, monoid_maps_array, star
 from gpd.errors import CapExceeded, NotAnIsomorphism
-from gpd.groupoid import (Groupoid, disjoint_union, make_action, make_groupoid,
+from gpd.groupoid import (UNDEFINED, Groupoid, disjoint_union, make_action, make_groupoid,
                           transformation_groupoid)
 from gpd.operators import Verdict
 
@@ -314,6 +313,116 @@ def test_census_matches_constructive_oracle(order, count):
         used.add(matches[0])
 
 
+# oracle 8: the product-table backtracker.  ``_complete_products`` fills
+# every product table consistent with an inverse map and a range map, by
+# cancellation and the forced cells of inverses, with a final
+# associativity scan; ``_one_unit_tables`` runs it with one unit.  The
+# census builds its groups by cyclic extension instead (``_groups``).
+
+
+def _complete_products(n: int, iota, rng):
+    """Backtrack over the product table consistent with (iota, rng).
+
+    dom is rng . iota; cells exist exactly where rng[y] == dom[x].  Each
+    assignment x y = z forces iota[x] z = y, z iota[y] = x and
+    iota[y] iota[x] = iota[z]; rows and columns stay duplicate-free by
+    cancellation.  Completed tables still get a final associativity scan.
+    """
+    dom = tuple(rng[iota[x]] for x in range(n))
+    fibers: dict[tuple[int, int], list[int]] = {}
+    for z in range(n):
+        fibers.setdefault((rng[z], dom[z]), []).append(z)
+
+    table = [[UNDEFINED] * n for _ in range(n)]
+    row_used = [set() for _ in range(n)]
+    col_used = [set() for _ in range(n)]
+    cells = [(x, y) for x in range(n) for y in range(n) if rng[y] == dom[x]]
+
+    def assign(x, y, z, trail):
+        stack = [(x, y, z)]
+        while stack:
+            a, b, c = stack.pop()
+            cur = table[a][b]
+            if cur != UNDEFINED:
+                if cur != c:
+                    return False
+                continue
+            if rng[c] != rng[a] or dom[c] != dom[b]:
+                return False
+            if c in row_used[a] or c in col_used[b]:
+                return False
+            table[a][b] = c
+            row_used[a].add(c)
+            col_used[b].add(c)
+            trail.append((a, b, c))
+            stack.append((iota[a], c, b))
+            stack.append((c, iota[b], a))
+            stack.append((iota[b], iota[a], iota[c]))
+        return True
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            a, b, c = trail.pop()
+            table[a][b] = UNDEFINED
+            row_used[a].discard(c)
+            col_used[b].discard(c)
+
+    trail: list[tuple[int, int, int]] = []
+    for x in range(n):
+        if not assign(rng[x], x, x, trail):
+            return
+        if not assign(x, dom[x], x, trail):
+            return
+        if not assign(x, iota[x], rng[x], trail):
+            return
+        if not assign(iota[x], x, dom[x], trail):
+            return
+
+    def associative() -> bool:
+        for x in range(n):
+            for y in range(n):
+                xy = table[x][y]
+                if xy == UNDEFINED:
+                    continue
+                for z in range(n):
+                    yz = table[y][z]
+                    if yz == UNDEFINED:
+                        continue
+                    if table[xy][z] != table[x][yz]:
+                        return False
+        return True
+
+    def dfs(pos):
+        while pos < len(cells) and table[cells[pos][0]][cells[pos][1]] != UNDEFINED:
+            pos += 1
+        if pos == len(cells):
+            if associative():
+                yield [row[:] for row in table]
+            return
+        x, y = cells[pos]
+        for z in fibers.get((rng[x], dom[y]), ()):
+            if z in row_used[x] or z in col_used[y]:
+                continue
+            mark = len(trail)
+            if assign(x, y, z, trail):
+                yield from dfs(pos + 1)
+            undo(trail, mark)
+
+    yield from dfs(0)
+
+
+def _one_unit_tables(m: int):
+    """The labelled group tables the census searches: unit 0, and one
+    inverse map per number t of self-inverse non-units.  Any two
+    involutions of {1..m-1} with t fixed points are conjugate by a
+    relabelling that fixes 0, so these meet every group of order m."""
+    for t in range((m - 1) % 2, m, 2):
+        iota = tuple(range(t + 1)) + tuple(x + 1 if (x - t) % 2 else x - 1
+                                           for x in range(t + 1, m))
+        for table in _complete_products(m, iota, (0,) * m):
+            yield make_groupoid(m, table, iota)
+
+
 # oracle 5: the backtracking census.  Every involution and range map with
 # unit set {0..u-1}, products completed by ``_complete_products`` and
 # deduplicated by canonical form; a structure with another unit set of size
@@ -385,6 +494,31 @@ def test_groups_match_the_unrestricted_one_unit_search():
                 for iota in _involutions(m) if iota[0] == 0
                 for table in _complete_products(m, iota, (0,) * m)}
         assert [canonical_form(h) for h in groups] == sorted(keys), m
+
+
+def test_groups_match_the_backtracker_through_order_10():
+    for m in range(1, 11):
+        keys = {canonical_form(g) for g in _one_unit_tables(m)}
+        assert [canonical_form(h) for h in _groups(m)] == sorted(keys), m
+
+
+def test_group_counts_are_a000001_through_order_15():
+    # Order 12 is the first with a non-abelian N (S3, of index 2).  Below
+    # it conjugation by z and by z^-1 agree on every N, so the key
+    # comparison through order 10 cannot tell them apart.
+    counts = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
+    assert [len(_groups(m)) for m in range(1, 16)] == counts
+
+
+def test_groups_refuse_order_60_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    for name in ("automorphisms", "canonical_form", "make_groupoid"):
+        monkeypatch.setattr(census, name, fail)
+    with pytest.raises(CapExceeded) as err:
+        census._groups(60)
+    assert err.value.predicted == 60
 
 
 # oracle 3: the unrestricted search.  Every involution, every unit set
@@ -467,7 +601,7 @@ def test_canonical_form_matches_the_block_minimum_through_order_8():
     for seed, rep in enumerate(classes):
         g = _seeded_relabel(rep, seed)
         assert canonical_form(g) == oracle_block_minimum(g) == canonical_form(rep), rep.name
-    tables = [g for m in range(1, 9) for g in census._one_unit_tables(m)]
+    tables = [g for m in range(1, 9) for g in _one_unit_tables(m)]
     assert len(tables) == 101
     for g in tables:
         assert canonical_form(g) == oracle_block_minimum(g), g.product
@@ -515,7 +649,7 @@ def test_the_bound_prunes_c2_cubed(monkeypatch):
     # automorphism) and 168 automorphisms.  Its 7! = 5040 block relabelings
     # make a search tree of 18740 nodes; the bound leaves about 1500, and
     # only leaves whose row 0 is no larger than the best key's build a key.
-    tables = [g for g in census._one_unit_tables(8) if g.inverse == tuple(range(8))]
+    tables = [g for g in _one_unit_tables(8) if g.inverse == tuple(range(8))]
     assert len(tables) == 30 and len(automorphisms(tables[0])) == 168
     for g in tables:
         assert census._twins(g, census._classes(g), census._defined_cells(g)) == list(range(8))
