@@ -402,16 +402,16 @@ def transformation_embedding_audit(action: GroupAction) -> Verdict:
 # the census from the structure theorem
 
 
-def _groups(m: int) -> list[Groupoid]:
+def _groups(m: int, tower: dict[int, list[Groupoid]]) -> list[Groupoid]:
     """One group of each isomorphism class of order m < 60, by cyclic
-    extension.
+    extension; ``tower`` maps each proper divisor of m to its groups.
 
     A finite solvable group G > 1 has a normal subgroup N of prime index
     p, so G = <N, t> with t^p = z in N, and phi = conjugation by t is an
     automorphism of N with phi(z) = z and phi^p equal to conjugation by z.
     Every group of order below 60 is solvable (A5, of order 60, is the
     least that is not), so trying every such (phi, z) on every N of
-    ``_groups(m // p)``, for each prime p dividing m, meets every class.
+    ``tower[m // p]``, for each prime p dividing m, meets every class.
     The element a t^i gets id i |N| + a, with
     (a t^i)(b t^j) = a phi^i(b) z^[i+j >= p] t^((i+j) mod p).
     """
@@ -421,7 +421,7 @@ def _groups(m: int) -> list[Groupoid]:
         return [make_groupoid(1, [[0]], [0])]
     found = {}
     for p in [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]:
-        for n in _groups(m // p):
+        for n in tower[m // p]:
             k, mul, e = n.size, n.product, n.units[0]
             for phi in automorphisms(n):
                 pows = [range(k)]  # pows[i][b] = phi^i(b)
@@ -479,9 +479,10 @@ class Census:
 def _component_types(max_order: int) -> list[tuple[int, Groupoid, int, int]]:
     """(|H| k^2, H, k, |Aut(H x pair(k))|) for every connected groupoid of
     order at most max_order, with |Aut(H x pair(k))| = |Aut(H)| k! |H|^(k-1)."""
-    types = []
+    types, tower = [], {}
     for m in range(1, max_order + 1):
-        for h in _groups(m):
+        tower[m] = _groups(m, tower)
+        for h in tower[m]:
             aut = len(automorphisms(h))
             types += [(m * k * k, h, k, aut * math.factorial(k) * m ** (k - 1))
                       for k in range(1, math.isqrt(max_order // m) + 1)]

@@ -260,7 +260,8 @@ class MonoidTable:
 
     @cached_property
     def distinct_translations(self) -> int:
-        return len(np.unique(self.trans, axis=0))
+        rows = self.trans[np.lexsort(self.trans.T)]  # equal rows end up adjacent
+        return 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
 
     def __len__(self):
         return len(self.maps)

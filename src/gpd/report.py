@@ -43,6 +43,7 @@ import numpy as np
 
 from .census import intersection_size
 from .endo import (
+    _BLOCK_CELLS,
     DEFAULT_MONOID_CAP,
     SIDES,
     enumerate_monoid,
@@ -62,14 +63,13 @@ from .structure import (
     dense_submonoid,
     group_of_units,
     intersection_analysis,
-    iter_intertwining_maps,
     j_ideal,
     j_index,
     left_cancellative,
     left_ideal,
     left_zero_criterion,
     minimal_ideal,
-    range_domain_criterion,
+    range_domain_sweep,
     special_elements,
     subgroupoid_semigroup,
     units_crosscheck,
@@ -205,15 +205,18 @@ class _Ctx:
 def _check_p32(ctx: _Ctx) -> Verdict:
     # the monoid laws of both sides were certified when _Ctx enumerated them
     # (enumerate_monoid raises MembershipError otherwise).
-    # involution: bijective and converts * into the mirror product
+    # involution: bijective and converts * into the mirror product, sigma[op_S]
+    # == op_S'[sigma][:, sigma] by row blocks; the witness is the first bad cell
     ts, tsp = (side.table for side in ctx.sides)
     if len(set(ctx.sigma.tolist())) != len(ts):
         return Verdict(False, ("involution not bijective",))
-    lhs = ctx.sigma[ts.op]
-    rhs = tsp.op[ctx.sigma[:, None], ctx.sigma[None, :]]
-    if not np.array_equal(lhs, rhs):
-        i, j = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        return Verdict(False, (i, j))
+    sigma, step = ctx.sigma.astype(ts.op.dtype), max(1, _BLOCK_CELLS // len(ts))
+    for i0 in range(0, len(ts), step):
+        rows = tsp.op.take(sigma[i0:i0 + step], axis=0)
+        bad = sigma.take(ts.op[i0:i0 + step]) != rows.take(sigma, axis=1)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(ts))
+            return Verdict(False, (i0 + i, j))
     back = involution_indices(tsp, ts)[ctx.sigma]
     stray = np.flatnonzero(back != np.arange(len(ts)))
     if len(stray):
@@ -307,11 +310,7 @@ def _check_p310(ctx: _Ctx) -> Verdict:
     count = count_intertwining_maps(ctx.g)
     if count > INTERTWINING_SWEEP_CAP:
         return Verdict(None, f"skipped: {count} intertwining maps exceed the sweep cap")
-    for phi in iter_intertwining_maps(ctx.g):
-        v = range_domain_criterion(ctx.g, phi)
-        if not v.passed:
-            return v
-    return Verdict(True)
+    return range_domain_sweep(ctx.g)
 
 
 def _check_p311(ctx: _Ctx) -> Verdict:

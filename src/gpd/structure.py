@@ -18,7 +18,6 @@ indices or a mask.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -28,8 +27,10 @@ import numpy as np
 
 from .errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed, ShapeError
 from .groupoid import UNDEFINED, Groupoid
-from .endo import MonoidTable, membership
+from .endo import _BLOCK_CELLS, MonoidTable, membership
 from .operators import Verdict
+
+_MIRROR = {"S": "S'", "S'": "S"}
 
 
 def j_index(t: MonoidTable) -> int:
@@ -39,11 +40,11 @@ def j_index(t: MonoidTable) -> int:
     return j
 
 
-def _in_mirror(t: MonoidTable, maps: np.ndarray) -> np.ndarray:
-    """Whether each row of a (T, n) stack of maps lies on the side other than
-    ``t.side``: r(f(x)) = d(x) for S', d(f(x)) = r(x) for S."""
-    rm, dm = np.asarray(t.groupoid.range_map), np.asarray(t.groupoid.domain_map)
-    return ((rm[maps] == dm) if t.side == "S" else (dm[maps] == rm)).all(axis=1)
+def _in_side(g: Groupoid, side: str, maps: np.ndarray) -> np.ndarray:
+    """Whether each row of a (T, n) stack of maps lies on ``side``:
+    d(f(x)) = r(x) on S, r(f(x)) = d(x) on S'."""
+    rm, dm = np.asarray(g.range_map), np.asarray(g.domain_map)
+    return ((dm[maps] == rm) if side == "S" else (rm[maps] == dm)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,10 @@ def units_crosscheck(indices: Sequence[int], invertible: Sequence[int]) -> Verdi
 
 def left_cancellative(t: MonoidTable) -> np.ndarray:
     """Whether each member is left-cancellative, i.e. its row of the Cayley
-    table repeats no value."""
-    hit = np.zeros(t.op.shape, dtype=bool)
-    hit[np.arange(len(t))[:, None], t.op] = True
-    return hit.all(axis=1)
+    table, sorted one block of rows at a time, has no two equal neighbours."""
+    step = max(1, _BLOCK_CELLS // len(t))
+    blocks = (np.sort(t.op[i0:i0 + step], axis=1) for i0 in range(0, len(t), step))
+    return np.concatenate([(b[:, 1:] != b[:, :-1]).all(axis=1) for b in blocks])
 
 
 def dense_submonoid(t: MonoidTable, bijective: tuple[tuple[int, ...], bool],
@@ -263,28 +264,46 @@ def range_domain_criterion(g: Groupoid, phi: Sequence[int]) -> Verdict:
     return Verdict(agree, None if agree else tuple(phi))
 
 
-def iter_intertwining_maps(g: Groupoid):
-    """All total maps with d(phi(x)) = phi(r(x)), by direct construction.
-
-    Such a map sends units to units; choosing the unit assignment first
-    forces each remaining value into a single domain-fiber.
-    """
-    units = g.units
+def intertwining_maps(g: Groupoid):
+    """The maps with d(phi(x)) = phi(r(x)) as (T, n) arrays, T <= _BLOCK_CELLS, below
+    the sweep cap.  Unit assignment sigma (base-|U| code, first unit most significant)
+    owns prod_x k_{sigma(r(x))} maps, k_v = |d^-1(v)|, whose digits are the places of
+    the non-units x in d^-1(sigma(r(x))), the last least significant."""
+    units, k = np.asarray(g.units), np.array([len(g.d_fibers[u]) for u in g.units])
+    fibers = np.array([list(g.d_fibers[u]) + [0] * (k.max() - len(g.d_fibers[u])) for u in g.units])
     non_units = [x for x in g.elements() if not g.is_unit(x)]
-    for sigma in itertools.product(units, repeat=len(units)):
-        assign = dict(zip(units, sigma))
-        pools = [g.d_fibers[assign[g.range_map[x]]] for x in non_units]
-        for choice in itertools.product(*pools):
-            phi = [0] * g.size
-            for u in units:
-                phi[u] = assign[u]
-            for x, v in zip(non_units, choice):
-                phi[x] = v
-            yield tuple(phi)
+    ru = np.searchsorted(units, np.asarray(g.range_map)[non_units])  # r(x)'s place among the units
+    sizes = math.prod(np.ix_(*(k ** m for m in np.bincount(ru, minlength=len(units))))).ravel()
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    for c0 in range(0, int(offsets[-1]), _BLOCK_CELLS):
+        index = np.arange(c0, min(c0 + _BLOCK_CELLS, int(offsets[-1])))
+        code = np.searchsorted(offsets, index, side="right") - 1
+        sigma = np.stack(np.unravel_index(code, (len(units),) * len(units)), axis=1)
+        phi, local = np.empty((len(index), g.size), dtype=np.intp), index - offsets[code]
+        phi[:, units] = units[sigma]
+        for x, r in zip(reversed(non_units), ru[::-1]):
+            local, digit = np.divmod(local, k[sigma[:, r]])
+            phi[:, x] = fibers[sigma[:, r], digit]
+        yield phi
+
+
+def range_domain_sweep(g: Groupoid) -> Verdict:
+    """``range_domain_criterion`` on every ``intertwining_maps`` chunk; the first failure."""
+    rm, dm, units = np.asarray(g.range_map), np.asarray(g.domain_map), np.asarray(g.units)
+    for phi in intertwining_maps(g):
+        image = dm[phi]
+        if (image != phi[:, rm]).any():
+            x = int(np.argmax(image != phi[:, rm])) % g.size
+            raise PreconditionFailed(f"d(phi({x})) != phi(r({x}))")
+        hits = np.logical_and.reduce([(image[:, g.r_fibers[u]] == u).any(axis=1) for u in g.units])
+        agree = (_in_side(g, "S", phi) == hits) & (hits == (phi[:, units] == units).all(axis=1))
+        if not agree.all():
+            return Verdict(False, tuple(int(v) for v in phi[np.argmin(agree)]))
+    return Verdict(True)
 
 
 def count_intertwining_maps(g: Groupoid) -> int:
-    """The number of maps ``iter_intertwining_maps`` yields, before any is built.
+    """The number of maps ``intertwining_maps`` yields, before any is built.
 
     Summing over the unit assignments sigma of the product of the pool sizes,
     prod_x k_{sigma(r(x))} with k_v = |d^-1(v)|, factors per unit:
@@ -318,7 +337,7 @@ def antihom_classification(
 
     # the function inverse of a bijective member is back[f(x)] = x; on side
     # S it must lie in S' (r(back(x)) = d(x)), on side S' in S
-    stray = np.flatnonzero(injective & ~_in_mirror(t, np.argsort(t.maps, axis=1)))
+    stray = np.flatnonzero(injective & ~_in_side(g, _MIRROR[t.side], np.argsort(t.maps, axis=1)))
     witness = (int(stray[0]),) if len(stray) else None
 
     j = j_index(t)
@@ -328,4 +347,4 @@ def antihom_classification(
 
 def intersection_analysis(t: MonoidTable) -> tuple[int, ...]:
     """S and S' intersected, as indices of the given table."""
-    return tuple(int(i) for i in np.flatnonzero(_in_mirror(t, t.maps)))
+    return tuple(int(i) for i in np.flatnonzero(_in_side(t.groupoid, _MIRROR[t.side], t.maps)))

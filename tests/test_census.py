@@ -486,9 +486,18 @@ def test_census_matches_backtracking_oracle(census7):
                 == [(g.name, g.product, g.inverse) for g in oracle.representatives]), order
 
 
+def group_tower(top):
+    """``_groups`` of every order up to top, built smallest order first."""
+    tower = {}
+    for m in range(1, top + 1):
+        tower[m] = _groups(m, tower)
+    return tower
+
+
 def test_groups_match_the_unrestricted_one_unit_search():
+    tower = group_tower(7)
     for m, count in enumerate([1, 1, 1, 2, 1, 2, 1], start=1):
-        groups = _groups(m)
+        groups = tower[m]
         assert len(groups) == count, m
         keys = {canonical_form(make_groupoid(m, table, iota))
                 for iota in _involutions(m) if iota[0] == 0
@@ -497,9 +506,10 @@ def test_groups_match_the_unrestricted_one_unit_search():
 
 
 def test_groups_match_the_backtracker_through_order_10():
+    tower = group_tower(10)
     for m in range(1, 11):
         keys = {canonical_form(g) for g in _one_unit_tables(m)}
-        assert [canonical_form(h) for h in _groups(m)] == sorted(keys), m
+        assert [canonical_form(h) for h in tower[m]] == sorted(keys), m
 
 
 def test_group_counts_are_a000001_through_order_15():
@@ -507,7 +517,22 @@ def test_group_counts_are_a000001_through_order_15():
     # it conjugation by z and by z^-1 agree on every N, so the key
     # comparison through order 10 cannot tell them apart.
     counts = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
-    assert [len(_groups(m)) for m in range(1, 16)] == counts
+    assert [len(groups) for groups in group_tower(15).values()] == counts
+
+
+def test_the_group_tower_is_built_once_per_census(monkeypatch):
+    # each order's groups are built once, from the smaller orders' groups
+    # that the same census already holds
+    calls = Counter()
+    real = census._groups
+
+    def counted(m, tower):
+        calls[m] += 1
+        return real(m, tower)
+
+    monkeypatch.setattr(census, "_groups", counted)
+    assert enumerate_groupoids(10, max_order=10).count == 90
+    assert calls == Counter(range(1, 11))
 
 
 def test_groups_refuse_order_60_before_any_work(monkeypatch):
@@ -517,7 +542,7 @@ def test_groups_refuse_order_60_before_any_work(monkeypatch):
     for name in ("automorphisms", "canonical_form", "make_groupoid"):
         monkeypatch.setattr(census, name, fail)
     with pytest.raises(CapExceeded) as err:
-        census._groups(60)
+        census._groups(60, {})
     assert err.value.predicted == 60
 
 

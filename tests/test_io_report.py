@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,51 @@ def test_structure_checks_fail_on_a_corrupted_cell(request, name, side, cell, ci
     assert gpd.report._CHECKS[cid](ctx) == Verdict(False, witness)
 
 
+def _c3c3():
+    return disjoint_union(corpus.cyclic(3), corpus.cyclic(3))
+
+
+@pytest.mark.parametrize("side, cells", [
+    ("S", [(100, 5)]),
+    ("S", [(500, 3), (130, 600)]),
+    ("S'", [(300, 7)]),
+])
+def test_p32_witness_past_the_first_row_block(side, cells):
+    # C3 + C3's 729 rows are compared 22 at a time; the witness is the first
+    # mismatching cell in row-major order of the whole table
+    ctx = _Ctx(_c3c3(), DEFAULT_MONOID_CAP)
+    s = ctx.sides[SIDES.index(side)]
+    for i, j in cells:
+        s.table = _corrupt(s.table, i, j)
+    ts, tsp = (c.table for c in ctx.sides)
+    assert len(ts) == 729 and gpd.endo._BLOCK_CELLS // len(ts) <= min(i for i, _ in cells)
+    lhs, rhs = ctx.sigma[ts.op], tsp.op[np.ix_(ctx.sigma, ctx.sigma)]
+    first = tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
+    assert gpd.report._CHECKS["P3.2"](ctx) == Verdict(False, first)
+    if side == "S":
+        assert first == min(cells)
+
+
+def test_checks_stay_below_one_table_of_memory():
+    # with both tables of C3 + C3 built, no check id allocates as much as one
+    # |S| x |S| table (4 |S|^2 bytes, 2.1 MB) on a fresh context
+    g = _c3c3()
+    tables = [enumerate_monoid(g, side) for side in SIDES]
+    limit = tables[0].op.nbytes
+    assert limit == 4 * 729 ** 2
+    for cid in CHECK_IDS:
+        ctx = _Ctx(g, DEFAULT_MONOID_CAP)
+        for s, t in zip(ctx.sides, tables):
+            s.table = dataclasses.replace(t)  # no fact cached on the table
+        tracemalloc.start()
+        try:
+            assert gpd.report._CHECKS[cid](ctx).passed, cid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (cid, peak)
+
+
 def test_antihom_witnesses_replay_on_the_scalar_reference(c3):
     # the two cells moved above: j is an injective antihomomorphism with
     # j * j = j and r * j = j, so P3.3.6 and P3.3.7 fail on the table alone
@@ -578,6 +624,16 @@ def test_rebuilt_table_recomputes_cached_facts(c3):
     trans = t.trans.copy()
     trans[1] = trans[0]
     assert dataclasses.replace(t, trans=trans).distinct_translations == len(t) - 1
+
+
+def test_distinct_translations_count_each_row_once():
+    t = enumerate_monoid(_c3c3(), "S")
+    rng = np.random.default_rng(0)
+    for copies in (1, 2, 50, len(t)):
+        trans = t.trans.copy()
+        trans[rng.choice(len(t), copies, replace=False)] = trans[rng.integers(len(t))]
+        counted = dataclasses.replace(t, trans=trans).distinct_translations
+        assert counted == len(np.unique(trans, axis=0)), copies
 
 
 def _count_calls(monkeypatch, fn):

@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from gpd import corpus
 from gpd.census import enumerate_groupoids
-from gpd.endo import (DEFAULT_MONOID_CAP, SIDES, Membership, enumerate_monoid, gfun,
-                      involution_star, iter_monoid_maps, membership, star)
+from gpd.endo import (_BLOCK_CELLS, DEFAULT_MONOID_CAP, PRODUCT_CAP, SIDES, Membership,
+                      enumerate_monoid, gfun, involution_star, iter_monoid_maps, membership,
+                      predicted_size, star)
 from gpd.errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed
 from gpd.groupoid import is_principal, morphism_classify
 from gpd.operators import Verdict
@@ -23,7 +25,7 @@ from gpd.structure import (
     group_of_units,
     ideal_check,
     intersection_analysis,
-    iter_intertwining_maps,
+    intertwining_maps,
     j_ideal,
     j_index,
     left_cancellative,
@@ -31,6 +33,7 @@ from gpd.structure import (
     left_zero_criterion,
     minimal_ideal,
     range_domain_criterion,
+    range_domain_sweep,
     special_elements,
     subgroupoid_semigroup,
     units_crosscheck,
@@ -284,6 +287,41 @@ def test_dense_submonoid(sg_c2, small_corpus):
         assert images == mirror, name
 
 
+def _row_loop_cancellative(t):
+    """Oracle: a member is left-cancellative when its row holds |S| distinct values."""
+    return [len(set(row.tolist())) == len(t) for row in t.op]
+
+
+def test_left_cancellative_equals_the_row_loop(small_corpus):
+    # the row blocks of C3 + C3 (729 rows) and of the |S| = 3125 census sides
+    # hold fewer rows than the table
+    pool = list(small_corpus) + [("C3+C3", corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3)))]
+    pool += [(h.name, h) for order in range(1, 7) for h in enumerate_groupoids(order).representatives]
+    checked = 0
+    for name, g in pool:
+        for side in SIDES:
+            if predicted_size(g, side) ** 2 > PRODUCT_CAP:
+                continue
+            t = enumerate_monoid(g, side)
+            assert left_cancellative(t).tolist() == _row_loop_cancellative(t), (name, side)
+            checked += 1
+    assert checked == 2 * (len(small_corpus) + 1) + 72
+
+
+def test_left_cancellative_sees_a_repeat_in_a_later_row_block():
+    # a unit's row past the first block of C3 + C3 gets one repeated value
+    t = enumerate_monoid(corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3)), "S")
+    units = cayley_units(t)
+    i = units[-1]
+    assert i >= _BLOCK_CELLS // len(t) and left_cancellative(t)[list(units)].all()
+    op = t.op.copy()
+    op[i, 400] = op[i, 401]
+    bad = dataclasses.replace(t, op=op)
+    flags = left_cancellative(bad)
+    assert flags.tolist() == _row_loop_cancellative(bad)
+    assert not flags[i] and flags.sum() == left_cancellative(t).sum() - 1
+
+
 def test_dense_submonoid_cancellation_witness(c3):
     # a moved cell in unit 5's row repeats a product; the witness names the
     # first column k whose product equals the one at an earlier column j
@@ -379,6 +417,35 @@ def test_closed_skips_the_gather_only_for_every_member(c3):
     assert subgroupoid_semigroup((0,), dataclasses.replace(t, op=op)) == Verdict(False, None)
 
 
+def iter_intertwining_maps(g):
+    """Oracle: all total maps with d(phi(x)) = phi(r(x)), by direct construction.
+
+    Such a map sends units to units; choosing the unit assignment first
+    forces each remaining value into a single domain-fiber.
+    """
+    units = g.units
+    non_units = [x for x in g.elements() if not g.is_unit(x)]
+    for sigma in itertools.product(units, repeat=len(units)):
+        assign = dict(zip(units, sigma))
+        pools = [g.d_fibers[assign[g.range_map[x]]] for x in non_units]
+        for choice in itertools.product(*pools):
+            phi = [0] * g.size
+            for u in units:
+                phi[u] = assign[u]
+            for x, v in zip(non_units, choice):
+                phi[x] = v
+            yield tuple(phi)
+
+
+def scalar_p310(g):
+    """Oracle: P3.10 as one ``range_domain_criterion`` call per map, in oracle order."""
+    for phi in iter_intertwining_maps(g):
+        v = range_domain_criterion(g, phi)
+        if not v.passed:
+            return v
+    return Verdict(True)
+
+
 def loop_count_intertwining_maps(g):
     """The count by summing over all U^U unit assignments."""
     units = g.units
@@ -459,7 +526,71 @@ def test_p310_fails_when_membership_misreads_a_map(monkeypatch):
         return Membership(True, flags.in_spg) if list(m) == swap else flags
 
     monkeypatch.setattr(gpd.structure, "membership", misread)
+    assert scalar_p310(u2) == Verdict(False, (1, 0))
+    monkeypatch.setattr(gpd.structure, "_in_side", _misread_rows(gpd.structure._in_side, {tuple(swap)}))
     assert full_report(u2, ("P3.10",)).verdicts["P3.10"] == Verdict(False, (1, 0))
+
+
+def _misread_rows(in_side, phis):
+    """``_in_side`` with side S read the other way round on the rows in phis."""
+    def misread(g, side, maps):
+        flags = in_side(g, side, maps)
+        return flags ^ (np.array([tuple(row) in phis for row in maps.tolist()]) & (side == "S"))
+    return misread
+
+
+def _p310_pool(named_corpus):
+    return list(named_corpus) + [
+        (h.name, h) for order in range(1, 7) for h in enumerate_groupoids(order).representatives]
+
+
+def test_intertwining_chunks_match_the_oracle(named_corpus):
+    # the chunked arrays hold the oracle's maps in the oracle's order, and the
+    # array sweep's verdict equals the scalar loop's
+    pool = _p310_pool(named_corpus)
+    assert len(pool) == 48
+    crossed = 0
+    for name, g in pool:
+        chunks = list(intertwining_maps(g))
+        assert all(len(c) <= _BLOCK_CELLS for c in chunks), name
+        crossed += len(chunks) > 1
+        maps = [tuple(row) for c in chunks for row in c.tolist()]
+        assert maps == list(iter_intertwining_maps(g)), name
+        assert len(maps) == count_intertwining_maps(g), name
+        assert range_domain_sweep(g) == scalar_p310(g) == Verdict(True), name
+    assert crossed == 2  # pair(3) (19683 maps) and units(6) (46656)
+
+
+def _misread_membership(member, phis):
+    """``membership`` with side S read the other way round at the maps in phis."""
+    def misread(g, m):
+        flags = member(g, m)
+        return Membership(not flags.in_sg, flags.in_spg) if tuple(m) in phis else flags
+    return misread
+
+
+def test_p310_sweep_names_the_same_misread_map_as_the_scalar_loop(named_corpus, monkeypatch):
+    # two maps are read the other way round by both paths' membership tests,
+    # the last in sweep order and one before it; both paths fail with the
+    # earlier, which pair(3) and units(6) (census-6-0) put past a chunk boundary
+    pool = dict(_p310_pool(named_corpus))
+    for name in ("trivial", "C3", "transform", "pair(3)", "census-6-0"):
+        g = pool[name]
+        maps = list(iter_intertwining_maps(g))
+        first = maps[min(_BLOCK_CELLS + 1, len(maps) // 2)]
+        with monkeypatch.context() as m:
+            m.setattr(gpd.structure, "membership", _misread_membership(membership, {first, maps[-1]}))
+            m.setattr(gpd.structure, "_in_side", _misread_rows(gpd.structure._in_side, {first, maps[-1]}))
+            assert range_domain_sweep(g) == scalar_p310(g) == Verdict(False, first), name
+
+
+def test_p310_sweeps_units_7_within_a_second():
+    g = corpus.unit_groupoid(7)
+    assert count_intertwining_maps(g) == 7 ** 7
+    start = time.perf_counter()
+    verdict = full_report(g, ("P3.10",)).verdicts["P3.10"]
+    assert verdict == Verdict(True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_antihom_classification_c2(sg_c2):
