@@ -3,7 +3,7 @@
 Build or load a small groupoid, enumerate the monoid of fiber-compatible
 self-maps on either side, analyse its semigroup structure, represent it by
 exact integer composition operators, and run the verification suite; a
-census of all groupoids up to order 6 feeds an exhaustive search probe.
+census of all groupoids up to order 20 feeds an exhaustive search probe.
 """
 
 from .groupoid import (

@@ -10,36 +10,31 @@ a composite is the composite of the two.
 ``enumerate_groupoids`` builds the census from the structure theorem: a
 connected finite groupoid is isomorphic to H x pair(k), H its isotropy
 group (Brown, Topology and Groupoids), so the classes of order n are the
-multisets of components (H, k) with sum |H| k^2 = n.  The groups H are
-cyclic extensions: a finite solvable group has a normal subgroup N of
-prime index p, so it is <N, t> with t^p = z, and conjugation by t is an
-automorphism phi of N fixing z, with phi^p equal to conjugation by z.
-Every group of order below 60 is solvable, so ``_groups`` builds them
-all from the groups of order m/p.  Each class is built once and sorted
-by its canonical form, so representatives are deterministic.
+multisets of components (H, k) with sum |H| k^2 = n, and distinct
+multisets give non-isomorphic groupoids.  Each class is the disjoint union
+of its sorted multiset, validated once and named in the order the
+multisets come; no canonical form is taken.  The groups H are cyclic
+extensions: a finite solvable group has a normal subgroup N of prime index
+p, so it is <N, t> with t^p = z, and conjugation by t is an automorphism
+phi of N fixing z, with phi^p equal to conjugation by z.  Every group of
+order below 60 is solvable, so ``_groups`` builds them all from the groups
+of order m/p.  It buckets the candidates by sorted element orders, number
+of squares and centre size, and keeps one of each class in a bucket.
 
-The canonical form is the least key, relabelled inverse array first, over
-the relabelings that keep each fingerprint class on its own block of ids.
-A class is closed under inversion, and the least inverse array puts each
-of its inverse pairs on two adjacent ids, so only those orders are tried;
-on all of them the inverse array is the same, and the product table,
-read row by row, decides.  ``canonical_form`` finds that least key by
-branch and bound (McKay and Piperno, Practical graph isomorphism II, J.
-Symb. Comput. 60, 2014).  A depth-first search gives new ids 0, 1, ... in
-order, each to a free member of its block, an inverse pair to two ids at
-once.  With ids 0..t-1 given, the cells (0, b), b < t, are the known
-prefix of the table (cell (0, t) is open, so no later row is).  A product
-value without an id will take one of its class's free ids, all >= t: the
-cell is decided when one is left, and otherwise every completion is
-larger than the best key found so far if best's entry is below the least
-of them.  A branch is dropped only when its decided prefix is larger, or
-such a cell is, after a prefix equal to best's; a tie is searched on,
-since a later cell may still be smaller.  Twins: self-inverse members x,
-y of one class whose transposition (x y) is an automorphism.  Then
-key(sigma . (x y)) = key(sigma), and with x and y both free, (x y) maps
-the subtree that gives the next id to x onto the one that gives it to y,
-so only the least free member of each twin class is tried.  The unit
-groupoid of order n, n! relabelings, evaluates one key.
+Isomorphisms, automorphisms included, come from generator images (G. L.
+Miller, STOC 1978): every element is a word in a greedy generating tuple,
+so a map is fixed by the generators' images, and each tuple of distinct
+images with the generators' invariants is extended along the words and
+checked.  A group of order n has a generating tuple of at most log2 n
+elements.
+
+``canonical_form``, an isomorphism test independent of generator images
+that the tests use, is the least key (relabelled inverse array, then
+product table) over the relabelings that keep each fingerprint class on
+its own block of ids and each inverse pair on adjacent ids.  It is found
+by branch and bound with twin pruning (McKay and Piperno, Practical graph
+isomorphism II, J. Symb. Comput. 60, 2014); the README gives the bound and
+why it is safe.
 
 The probe records, for every census groupoid, whether it is principal and
 whether the two monoids meet only in j.  For finite discrete groupoids the
@@ -72,7 +67,7 @@ from .groupoid import (
 from .operators import Verdict
 from .structure import bijective_translations
 
-MAX_CENSUS_ORDER = 6
+MAX_CENSUS_ORDER = 20
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +94,6 @@ def _classes(g: Groupoid) -> list[list[int]]:
     for x, fp in enumerate(_fingerprints(g)):
         classes.setdefault(fp, []).append(x)
     return [classes[key] for key in sorted(classes)]
-
-
-def _block_orders(g: Groupoid, grp: list[int]):
-    """The orders of one fingerprint class that can carry a least key: all
-    of them for a class of self-inverse elements, otherwise every order of
-    its inverse pairs with each pair in either orientation.
-
-    Every isomorphism respects the classes, so the least key over all
-    permutations inside the classes' blocks of ids is equal exactly for
-    isomorphic groupoids.  A key starts with the relabelled inverse array.
-    A class holds only self-inverse elements or none, and with x it holds
-    x^-1 (|r-fiber(u)| = |d-fiber(u)|).  A self-inverse block always reads
-    (s, s+1, ...).  On a block s..s+2m-1 without fixed points the segment
-    is at best (s+1, s, s+3, s+2, ...), reached exactly when every inverse
-    pair sits on adjacent ids.  So these m! 2^m orders, instead of (2m)!,
-    give the same least key.
-    """
-    inv = g.inverse
-    if inv[grp[0]] == grp[0]:
-        yield from itertools.permutations(grp)
-        return
-    pairs = [(x, inv[x]) for x in grp if x < inv[x]]
-    for order in itertools.permutations(pairs):
-        for oriented in itertools.product(*[(p, p[::-1]) for p in order]):
-            yield tuple(itertools.chain.from_iterable(oriented))
 
 
 def _defined_cells(g: Groupoid) -> list[tuple[int, int, int]]:
@@ -167,8 +137,8 @@ def _twins(g: Groupoid, classes: list[list[int]], cells) -> list[int]:
 
 def canonical_form(g: Groupoid) -> tuple:
     """The least ``_relabel_key`` over the relabelings that put each
-    fingerprint class on its block of ids in one of its ``_block_orders``,
-    found by branch and bound (see the module docstring)."""
+    fingerprint class on its block of ids, each inverse pair on two
+    adjacent ids, found by branch and bound (the README gives the bound)."""
     n, prod, inv = g.size, g.product, g.inverse
     cells = _defined_cells(g)
     classes = _classes(g)
@@ -235,34 +205,81 @@ def groupoid_from_canonical(key: tuple, size: int, name: str = "") -> Groupoid:
     return make_groupoid(size, prod, inv, name)
 
 
-def isomorphic(g: Groupoid, h: Groupoid) -> bool:
-    if g.size != h.size or sorted(_fingerprints(g)) != sorted(_fingerprints(h)):
-        return False
-    return canonical_form(g) == canonical_form(h)
+def _invariants(g: Groupoid) -> list[tuple]:
+    """Each element's fingerprint, then its order if it is a loop (r(x) = d(x)), else 0."""
+    out = []
+    for x, fp in enumerate(_fingerprints(g)):
+        k, y = int(fp[2]), x
+        while fp[2] and y != g.range_map[x]:
+            y, k = g.product[y][x], k + 1
+        out.append(fp + (k,))
+    return out
+
+
+def _words(g: Groupoid, invariants: list[tuple]) -> list[list[tuple[int, int, int]]]:
+    """A greedy generating tuple and every element as a word in it.
+
+    Elements are tried units last, then by decreasing order, then by id;
+    one joins the tuple when the closure under product and inverse of those
+    before it misses it.  Entry i lists, breadth first, the steps generator
+    i adds to the closure: (x, -1, i) for the generator x itself, (x, a, -1)
+    for x = a^-1 and (x, a, b) for x = a b."""
+    prod, seen, closure, segments = g.product, [False] * g.size, [], []
+    for gen in sorted(g.elements(), key=lambda x: (invariants[x][0], -invariants[x][-1], x)):
+        if seen[gen]:
+            continue
+        seen[gen], steps = True, [(gen, -1, len(segments))]
+        for x, _, _ in steps:  # each pair of the closure is met once its later member is here
+            closure.append(x)
+            for v, a, b in [(g.inverse[x], x, -1)] + [
+                    c for y in closure for c in ((prod[x][y], x, y), (prod[y][x], y, x))]:
+                if v != UNDEFINED and not seen[v]:
+                    seen[v] = True
+                    steps.append((v, a, b))
+        segments.append(steps)
+    return segments
+
+
+def _isomorphisms(g: Groupoid, h: Groupoid):
+    """Every isomorphism g -> h as a map array, by generator images (G. L.
+    Miller, On the n^(log n) isomorphism technique, STOC 1978).
+
+    Each generator of ``_words`` takes a distinct image with its invariants,
+    and the images extend along the words.  A candidate is kept if it is a
+    bijection that respects every defined product and the inverse, with
+    undefined products going to undefined ones."""
+    mine = _invariants(g)
+    theirs = mine if h is g else _invariants(h)
+    if sorted(mine) != sorted(theirs):
+        return
+    gp, hp, gi, hi = (np.asarray(a) for a in (g.product, h.product, g.inverse, h.inverse))
+    segments, sigma, used = _words(g, mine), [UNDEFINED] * g.size, [False] * h.size
+
+    def extend(i: int):
+        if i == len(segments):
+            s = np.array(sigma + [UNDEFINED])  # s[-1] carries undefined to undefined
+            if (hp[s[:-1, None], s[:-1]] == s[gp]).all() and (hi[s[:-1]] == s[gi]).all():
+                yield tuple(sigma)
+            return
+        for image in h.elements():
+            done = []
+            for x, a, b in segments[i]:
+                v = image if a < 0 else h.inverse[sigma[a]] if b < 0 else h.product[sigma[a]][sigma[b]]
+                if v == UNDEFINED or used[v] or theirs[v] != mine[x]:
+                    break
+                sigma[x], used[v] = v, True
+                done.append(x)
+            else:
+                yield from extend(i + 1)
+            for x in done:
+                used[sigma[x]], sigma[x] = False, UNDEFINED
+
+    yield from extend(0)
 
 
 def automorphisms(g: Groupoid) -> list[tuple[int, ...]]:
-    """All self-isomorphisms, in lexicographic order of their map arrays.
-
-    An automorphism keeps each fingerprint class and commutes with the
-    inverse, so it maps the first of a class's ``_block_orders`` onto one
-    of them, position by position; each such map is tried once.
-    """
-    cells = _defined_cells(g)
-    base = _relabel_key(g, range(g.size), cells)
-    per_class = []
-    for grp in _classes(g):
-        orders = list(_block_orders(g, grp))
-        per_class.append([(orders[0], order) for order in orders])
-    out = []
-    for choice in itertools.product(*per_class):
-        sigma = [0] * g.size
-        for first, order in choice:
-            for old, new in zip(first, order):
-                sigma[old] = new
-        if _relabel_key(g, sigma, cells) == base:
-            out.append(tuple(sigma))
-    return sorted(out)
+    """All self-isomorphisms, in lexicographic order of their map arrays."""
+    return sorted(_isomorphisms(g, g))
 
 
 @dataclass(frozen=True)
@@ -434,11 +451,21 @@ def _groups(m: int, tower: dict[int, list[Groupoid]]) -> list[Groupoid]:
                              for j in range(p) for b in range(k)]
                             for i in range(p) for a in range(k)]
                     g = make_groupoid(m, prod, [row.index(e) for row in prod])
-                    found.setdefault(canonical_form(g), g)
-    return [found[key] for key in sorted(found)]
+                    same = found.setdefault(_group_invariant(g), [])
+                    if not any(next(_isomorphisms(g, h), None) for h in same):
+                        same.append(g)
+    return [g for same in found.values() for g in same]
 
 
-def _union_of_components(order: int, comps) -> Groupoid:
+def _group_invariant(g: Groupoid) -> tuple:
+    """Sorted element orders, number of squares and centre size of a group."""
+    prod = g.product
+    centre = sum(all(prod[x][y] == prod[y][x] for y in g.elements()) for x in g.elements())
+    return (tuple(sorted(fp[-1] for fp in _invariants(g))),
+            len({prod[x][x] for x in g.elements()}), centre)
+
+
+def _union_of_components(order: int, comps, name: str = "") -> Groupoid:
     """The disjoint union of the groupoids H x pair(k) for (H, k) in comps:
     (a,i,j)(b,j,l) = (ab,i,l) and (a,i,j)^-1 = (a^-1,j,i)."""
     prod = [[UNDEFINED] * order for _ in range(order)]
@@ -452,7 +479,7 @@ def _union_of_components(order: int, comps) -> Groupoid:
             for l, b in itertools.product(range(k), range(m)):
                 prod[x][base + (j * k + l) * m + b] = base + (i * k + l) * m + h.product[a][b]
         base += m * k * k
-    return make_groupoid(order, prod, inv)
+    return make_groupoid(order, prod, inv, name)
 
 
 def _multisets(sizes: list[int], total: int, start: int = 0):
@@ -490,21 +517,17 @@ def _component_types(max_order: int) -> list[tuple[int, Groupoid, int, int]]:
 
 
 def _census(order: int, types) -> Census:
-    """The census of one order from ``_component_types`` of at least that
-    order: one class per multiset of types whose sizes sum to order."""
-    keys = []
-    total = 0
-    for choice in _multisets([t[0] for t in types], order):
-        comps = [types[i] for i in choice]
+    """The census of one order from ``_component_types`` of at least that order:
+    one class per multiset of types whose sizes sum to order, in ``_multisets`` order."""
+    reps, total = [], 0
+    for i, choice in enumerate(_multisets([t[0] for t in types], order)):
+        comps = [types[c] for c in choice]
         aut = math.prod(t[3] for t in comps) * math.prod(
             math.factorial(c) for c in Counter(choice).values())
         total += math.factorial(order) // aut
-        keys.append(canonical_form(_union_of_components(order, [(h, k) for _, h, k, _ in comps])))
-    reps = tuple(
-        groupoid_from_canonical(key, order, f"census-{order}-{i}")
-        for i, key in enumerate(sorted(keys))
-    )
-    return Census(order=order, representatives=reps, total_found=total)
+        reps.append(_union_of_components(order, [(h, k) for _, h, k, _ in comps],
+                                         f"census-{order}-{i}"))
+    return Census(order=order, representatives=tuple(reps), total_found=total)
 
 
 def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census:
@@ -513,8 +536,8 @@ def enumerate_groupoids(order: int, max_order: int = MAX_CENSUS_ORDER) -> Census
     One class per multiset of components (H, k) with sum |H| k^2 = order.
     A class with automorphism group A has order!/|A| labelled copies, with
     a factor m! in |A| for a component repeated m times; ``total_found``
-    sums these.  Deterministic: representatives are sorted by canonical
-    form.
+    sums these.  Deterministic: representative i, ``census-{order}-{i}``,
+    is the i-th multiset in ``_multisets`` order.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")

@@ -193,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-monoid", type=int, default=DEFAULT_MONOID_CAP,
                         help="largest monoid to enumerate (default 1000000)")
     common.add_argument("--cap-order", type=int, default=MAX_CENSUS_ORDER,
-                        help="largest census order (default 6)")
+                        help=f"largest census order (default {MAX_CENSUS_ORDER})")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("-o", "--output", default=None, help="write the report here")
 

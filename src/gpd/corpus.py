@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from .errors import CapExceeded
 from .groupoid import (
+    MAX_ELEMENTS,
     GroupAction,
     Groupoid,
     disjoint_union,
@@ -20,6 +22,8 @@ def trivial() -> Groupoid:
 
 def cyclic(n: int) -> Groupoid:
     """The cyclic group of order n as a one-unit groupoid."""
+    if n > MAX_ELEMENTS:
+        raise CapExceeded(f"cyclic group of order {n} exceeds cap {MAX_ELEMENTS}", predicted=n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     inv = [(-i) % n for i in range(n)]
     return group_as_groupoid(table, inv, f"C{n}")

@@ -21,11 +21,10 @@ the semantic reference the vector paths are tested against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,13 +164,8 @@ def _checked_size(g: Groupoid, side: str, cap: int) -> int:
     return pred
 
 
-def iter_monoid_maps(g: Groupoid, side: str = "S") -> Iterator[tuple[int, ...]]:
-    """All member maps in lexicographic order of their arrays."""
-    return itertools.product(*_position_fibers(g, side))
-
-
 def monoid_maps_array(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> np.ndarray:
-    """The member maps as rows, in ``iter_monoid_maps`` order: column x
+    """The member maps as rows, in lexicographic order: column x
     steps through x's fiber every stride_x rows, stride_x being the
     product of the later fiber sizes."""
     pred = _checked_size(g, side, cap)
@@ -229,7 +223,7 @@ def _rank(pos: np.ndarray, strides: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MonoidTable:
     """A fully enumerated monoid as arrays: member i is row i of ``maps``,
-    the (|S|, n) member maps in ``iter_monoid_maps`` order, which ``rank``
+    the (|S|, n) member maps in lexicographic order, which ``rank``
     numbers; ``op`` is the index Cayley table, ``identity`` an index, and
     ``trans`` holds each member's translation (left on S, right on S').
 

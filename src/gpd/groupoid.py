@@ -249,6 +249,8 @@ def unit_groupoid(n: int) -> Groupoid:
     """n isolated units: G = G0, only the products u*u = u are defined."""
     if n < 1:
         raise ShapeError(f"need n >= 1, got {n}")
+    if n > MAX_ELEMENTS:
+        raise CapExceeded(f"unit groupoid on {n} units exceeds cap {MAX_ELEMENTS}", predicted=n)
     prod = [[i if i == j else UNDEFINED for j in range(n)] for i in range(n)]
     return make_groupoid(n, prod, list(range(n)), f"units({n})")
 

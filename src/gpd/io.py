@@ -38,7 +38,7 @@ import dataclasses
 import functools
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .census import Census, ProbeReport
 from .endo import MonoidTable
 from .errors import ShapeError
 from .groupoid import GroupAction, Groupoid, GroupoidSpec, build_groupoid, make_action
-from .operators import LinOp
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -183,17 +182,25 @@ def groupoid_to_dict(g: Groupoid) -> dict:
     }
 
 
+def _typed(v: Any, field: str, kind: type = int):
+    """v when its type is exactly kind: a bool, float or string is refused
+    where an integer belongs, a number where a string does; none is coerced."""
+    if type(v) is not kind:
+        raise ShapeError(f"{field} holds {v!r}, not a JSON {'integer' if kind is int else 'string'}")
+    return v
+
+
 def groupoid_from_dict(obj: Any) -> Groupoid:
     if not isinstance(obj, dict):
         raise ShapeError("groupoid object must be a JSON object")
     try:
         spec = GroupoidSpec(
-            size=int(obj["size"]),
-            product=tuple(tuple(int(v) for v in row) for row in obj["product"]),
-            inverse=tuple(int(v) for v in obj["inverse"]),
-            name=str(obj.get("name", "")),
+            size=_typed(obj["size"], "size"),
+            product=tuple(tuple(_typed(v, "product") for v in row) for row in obj["product"]),
+            inverse=tuple(_typed(v, "inverse") for v in obj["inverse"]),
+            name=_typed(obj.get("name", ""), "name", str),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed groupoid object: {exc!r}") from None
     return build_groupoid(spec)
 
@@ -223,8 +230,9 @@ def action_from_dict(obj: Any) -> GroupAction:
         raise ShapeError("action object must be a JSON object")
     try:
         group = groupoid_from_dict(obj["group"])
-        return make_action(group, int(obj["space"]), obj["act"])
-    except (KeyError, TypeError, ValueError) as exc:
+        act = [[_typed(v, "act") for v in row] for row in obj["act"]]
+        return make_action(group, _typed(obj["space"], "space"), act)
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed action object: {exc!r}") from None
 
 
@@ -257,10 +265,6 @@ def rep_to_dict(t: MonoidTable) -> dict:
             "operators": Rows({"fn": t.maps, "matrix": matrices})}
 
 
-def linop_to_dict(fn: Sequence[int], op: LinOp) -> dict:
-    return {"fn": list(fn), "matrix": [list(row) for row in op.matrix]}
-
-
 # ---------------------------------------------------------------------------
 # census and probe
 
@@ -271,13 +275,6 @@ def census_manifest(c: Census) -> dict:
         "count": c.count,
         "names": [g.name for g in c.representatives],
     }
-
-
-def census_to_dict(c: Census) -> dict:
-    out = census_manifest(c)
-    out["total_found"] = c.total_found
-    out["groupoids"] = [groupoid_to_dict(g) for g in c.representatives]
-    return out
 
 
 def probe_to_dict(report: ProbeReport) -> dict:

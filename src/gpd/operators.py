@@ -20,13 +20,10 @@ the sign of that permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .endo import (GFun, MonoidTable, left_translation, right_translation,
-                   translation_law_witness)
-from .errors import ShapeError
+from .endo import MonoidTable, translation_law_witness
 from .groupoid import Groupoid
 
 
@@ -36,18 +33,6 @@ class LinOp:
 
     base: Groupoid
     tau: tuple[int, ...]
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.base.size
-        return tuple(
-            tuple(1 if c == t else 0 for c in range(n)) for t in self.tau
-        )
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.base.size:
-            raise ShapeError(f"vector must have length {self.base.size}")
-        return tuple(v[t] for t in self.tau)
 
     def determinant(self) -> int:
         """0 unless tau is a permutation, otherwise its sign."""
@@ -68,16 +53,6 @@ class LinOp:
             if length % 2 == 0:
                 sign = -sign
         return sign
-
-
-def left_operator(f: GFun) -> LinOp:
-    """Operator of g -> g composed with the left translation of f (side S)."""
-    return LinOp(f.base, left_translation(f))
-
-
-def right_operator(f: GFun) -> LinOp:
-    """Operator of g -> g composed with the right translation of f (side S')."""
-    return LinOp(f.base, right_translation(f))
 
 
 @dataclass(frozen=True)
@@ -134,8 +109,8 @@ def _audit_one_side(t: MonoidTable, unit_indices, cancellative_indices) -> dict[
 def _audit_mixed_action(ts: MonoidTable, tsp: MonoidTable, sigma: np.ndarray) -> Verdict:
     """The right action of side S on C(G) through the involution.
 
-    g . f is apply(right_operator(f~), g); the action law has the composite
-    on the mirror side of the application order:
+    g . f applies the operator of f~'s right translation to g; the action
+    law has the composite on the mirror side of the application order:
         act(g, f1 * f2) = act(act(g, f2), f1).
     That is matrix((f1 * f2)~) = matrix(f1~) . matrix(f2~) for every pair,
     i.e. the translation law of tsp.trans[sigma] against the S table, with

@@ -146,6 +146,10 @@ class _Side:
         return cayley_units(self.table)
 
     @cached_property
+    def j_ideal(self):
+        return j_ideal(self.table)
+
+    @cached_property
     def cancellative(self):
         return left_cancellative(self.table)
 
@@ -252,7 +256,7 @@ def _check_p333(ctx: _Ctx) -> Verdict:
 
 def _check_p334(ctx: _Ctx) -> Verdict:
     for side in ctx.sides:
-        if not minimal_ideal(side.table, j_ideal(side.table)):
+        if not minimal_ideal(side.table, side.j_ideal):
             return Verdict(False, (side.name,))
     return Verdict(True)
 
@@ -401,7 +405,7 @@ def full_report(
         unit_group_indices=s.bijective[0],
         unit_group_inverse=s.h1[0],
         tg_indices=s.bijective[0],
-        j_ideal_indices=j_ideal(s.table),
+        j_ideal_indices=s.j_ideal,
         intersection_indices=ctx.inter,
         verdicts=verdicts,
     )

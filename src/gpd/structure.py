@@ -112,8 +112,9 @@ def minimal_ideal(t: MonoidTable, subset: Sequence[int]) -> bool:
 
 
 def j_ideal(t: MonoidTable) -> tuple[int, ...]:
-    """The two-sided ideal j S (or j S' on the mirror side)."""
-    return tuple(sorted(set(int(v) for v in t.op[j_index(t)])))
+    """The two-sided ideal j S (or j S' on the mirror side), the members row j
+    hits; a bincount, since ``np.unique`` loads ``numpy.ma`` (about 1.2 MB)."""
+    return tuple(np.flatnonzero(np.bincount(t.op[j_index(t)], minlength=len(t))).tolist())
 
 
 def _closed(t: MonoidTable, indices: Sequence[int]) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 from gpd import census, corpus, endo
 from gpd.census import (
+    MAX_CENSUS_ORDER,
     Census,
     Isomorphism,
     _fingerprints,
@@ -16,20 +17,21 @@ from gpd.census import (
     as_isomorphism,
     automorphisms,
     canonical_form,
+    census_through,
     enumerate_groupoids,
     functoriality_audit,
     groupoid_from_canonical,
     intersection_size,
-    isomorphic,
     monoid_iso_audit,
     principal_converse_search,
     transformation_embedding_audit,
 )
-from gpd.endo import GFun, enumerate_monoid, gfun, iter_monoid_maps, monoid_maps_array, star
+from gpd.endo import GFun, enumerate_monoid, gfun, monoid_maps_array, star
 from gpd.errors import CapExceeded, NotAnIsomorphism
 from gpd.groupoid import (UNDEFINED, Groupoid, disjoint_union, make_action, make_groupoid,
                           transformation_groupoid)
 from gpd.operators import Verdict
+from test_endo import iter_monoid_maps
 
 # ---------------------------------------------------------------------------
 # oracle 1: blind brute force over every (product, inverse) combination with
@@ -248,6 +250,65 @@ def _class_preserving_perms(g):
 def oracle_automorphisms(g):
     base = _oracle_key(g, range(g.size))
     return sorted(s for s in _class_preserving_perms(g) if _oracle_key(g, s) == base)
+
+
+# oracle 9: isomorphism by canonical form, and automorphisms by relabelling.
+# The census finds both by generator images instead.
+
+
+def isomorphic(g: Groupoid, h: Groupoid) -> bool:
+    if g.size != h.size or sorted(_fingerprints(g)) != sorted(_fingerprints(h)):
+        return False
+    return canonical_form(g) == canonical_form(h)
+
+
+def _block_orders(g: Groupoid, grp: list[int]):
+    """The orders of one fingerprint class that can carry a least key: all
+    of them for a class of self-inverse elements, otherwise every order of
+    its inverse pairs with each pair in either orientation.
+
+    Every isomorphism respects the classes, so the least key over all
+    permutations inside the classes' blocks of ids is equal exactly for
+    isomorphic groupoids.  A key starts with the relabelled inverse array.
+    A class holds only self-inverse elements or none, and with x it holds
+    x^-1 (|r-fiber(u)| = |d-fiber(u)|).  A self-inverse block always reads
+    (s, s+1, ...).  On a block s..s+2m-1 without fixed points the segment
+    is at best (s+1, s, s+3, s+2, ...), reached exactly when every inverse
+    pair sits on adjacent ids.  So these m! 2^m orders, instead of (2m)!,
+    give the same least key.
+    """
+    inv = g.inverse
+    if inv[grp[0]] == grp[0]:
+        yield from itertools.permutations(grp)
+        return
+    pairs = [(x, inv[x]) for x in grp if x < inv[x]]
+    for order in itertools.permutations(pairs):
+        for oriented in itertools.product(*[(p, p[::-1]) for p in order]):
+            yield tuple(itertools.chain.from_iterable(oriented))
+
+
+def relabelling_automorphisms(g: Groupoid) -> list[tuple[int, ...]]:
+    """All self-isomorphisms, in lexicographic order of their map arrays.
+
+    An automorphism keeps each fingerprint class and commutes with the
+    inverse, so it maps the first of a class's ``_block_orders`` onto one
+    of them, position by position; each such map is tried once.
+    """
+    cells = census._defined_cells(g)
+    base = census._relabel_key(g, range(g.size), cells)
+    per_class = []
+    for grp in census._classes(g):
+        orders = list(_block_orders(g, grp))
+        per_class.append([(orders[0], order) for order in orders])
+    out = []
+    for choice in itertools.product(*per_class):
+        sigma = [0] * g.size
+        for first, order in choice:
+            for old, new in zip(first, order):
+                sigma[old] = new
+        if census._relabel_key(g, sigma, cells) == base:
+            out.append(tuple(sigma))
+    return sorted(out)
 
 
 @pytest.fixture(scope="module")
@@ -477,13 +538,51 @@ def oracle_backtrack_census(order):
 
 
 def test_census_matches_backtracking_oracle(census7):
+    # the same classes, each once: the representatives' canonical forms are
+    # pairwise distinct and are the oracle's keys
     totals = {1: 1, 2: 3, 3: 10, 4: 65, 5: 341, 6: 2761, 7: 20448}
     for order, total in totals.items():
         census = census7 if order == 7 else enumerate_groupoids(order)
         oracle = oracle_backtrack_census(order)
         assert census.total_found == oracle.total_found == total, order
-        assert ([(g.name, g.product, g.inverse) for g in census.representatives]
-                == [(g.name, g.product, g.inverse) for g in oracle.representatives]), order
+        keys = [canonical_form(g) for g in census.representatives]
+        assert len(set(keys)) == len(keys), order
+        assert sorted(keys) == [canonical_form(g) for g in oracle.representatives], order
+        assert [g.name for g in census.representatives] == [
+            f"census-{order}-{i}" for i in range(len(keys))], order
+
+
+def test_census_takes_no_canonical_form_and_validates_each_class_once(monkeypatch):
+    def fail(*args):
+        raise AssertionError("canonical form on the census path")
+
+    validated = Counter()
+    real = census.make_groupoid
+
+    def counted(size, product, inverse, name=""):
+        validated[name] += 1
+        return real(size, product, inverse, name)
+
+    monkeypatch.setattr(census, "canonical_form", fail)
+    monkeypatch.setattr(census, "groupoid_from_canonical", fail)
+    monkeypatch.setattr(census, "make_groupoid", counted)
+    names = [g.name for c in census_through(10, 10) for g in c.representatives]
+    assert len(names) == 249
+    assert {name: validated[name] for name in names} == dict.fromkeys(names, 1)
+
+
+def test_census_counts_through_order_15():
+    # classes through 12 and the labelled totals are those of the canonical-
+    # form census; 275, 413 and 562 were counted by it at orders 13 to 15
+    counts = [1, 2, 3, 7, 9, 16, 22, 42, 57, 90, 124, 204, 275, 413, 562]
+    totals = [1, 3, 10, 65, 341, 2761, 20448, 223065, 2178505, 26540311,
+              309857406, 4655607793]
+    censuses = census_through(15, 15)
+    assert [c.count for c in censuses] == counts
+    assert [c.total_found for c in censuses[:12]] == totals
+    for c in censuses[7:10]:  # orders 8 to 10, past the backtracking oracle
+        keys = {canonical_form(g) for g in c.representatives}
+        assert len(keys) == c.count, c.order
 
 
 def group_tower(top):
@@ -502,14 +601,18 @@ def test_groups_match_the_unrestricted_one_unit_search():
         keys = {canonical_form(make_groupoid(m, table, iota))
                 for iota in _involutions(m) if iota[0] == 0
                 for table in _complete_products(m, iota, (0,) * m)}
-        assert [canonical_form(h) for h in groups] == sorted(keys), m
+        found = [canonical_form(h) for h in groups]  # the same classes, each once
+        assert len(set(found)) == len(found) and sorted(found) == sorted(keys), m
 
 
 def test_groups_match_the_backtracker_through_order_10():
+    # the same classes, each once
     tower = group_tower(10)
     for m in range(1, 11):
         keys = {canonical_form(g) for g in _one_unit_tables(m)}
-        assert [canonical_form(h) for h in tower[m]] == sorted(keys), m
+        found = [canonical_form(h) for h in tower[m]]
+        assert len(set(found)) == len(found), m
+        assert sorted(found) == sorted(keys), m
 
 
 def test_group_counts_are_a000001_through_order_15():
@@ -518,6 +621,27 @@ def test_group_counts_are_a000001_through_order_15():
     # comparison through order 10 cannot tell them apart.
     counts = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
     assert [len(groups) for groups in group_tower(15).values()] == counts
+
+
+def test_group_counts_are_a000001_from_order_16_through_31():
+    counts = [14, 1, 5, 1, 5, 2, 2, 1, 15, 2, 2, 5, 4, 1, 4, 1]
+    tower = group_tower(31)
+    assert [len(tower[m]) for m in range(16, 32)] == counts
+
+
+def test_automorphisms_match_the_relabelling_oracle():
+    tower = group_tower(12)
+    pool = [h for m in range(1, 13) for h in tower[m]]
+    pool += [g for c in census_through(7, 7) for g in c.representatives]
+    assert len(pool) == 24 + 60
+    for g in pool:
+        assert automorphisms(g) == relabelling_automorphisms(g), (g.name, g.product)
+
+
+def test_automorphisms_of_c2_to_the_4_are_gl_4_2():
+    # 20160 = |GL(4, 2)|; the relabelling search tries 15! maps here
+    c2_4 = [h for h in group_tower(16)[16] if h.inverse == tuple(range(16))]
+    assert len(c2_4) == 1 and len(automorphisms(c2_4[0])) == 20160
 
 
 def test_the_group_tower_is_built_once_per_census(monkeypatch):
@@ -539,7 +663,8 @@ def test_groups_refuse_order_60_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("work started")
 
-    for name in ("automorphisms", "canonical_form", "make_groupoid"):
+    for name in ("automorphisms", "_isomorphisms", "_group_invariant", "canonical_form",
+                 "make_groupoid"):
         monkeypatch.setattr(census, name, fail)
     with pytest.raises(CapExceeded) as err:
         census._groups(60, {})
@@ -601,7 +726,7 @@ def test_canonical_form_matches_full_block_search(census7):
 
 
 def _block_relabelings(g: Groupoid):
-    for arrangement in itertools.product(*[census._block_orders(g, grp)
+    for arrangement in itertools.product(*[_block_orders(g, grp)
                                            for grp in census._classes(g)]):
         sigma = [0] * g.size
         for new, old in enumerate(itertools.chain.from_iterable(arrangement)):
@@ -732,8 +857,9 @@ def test_census_determinism_and_validity():
 
 
 def test_census_cap():
+    assert MAX_CENSUS_ORDER == 20
     with pytest.raises(CapExceeded):
-        enumerate_groupoids(7)
+        enumerate_groupoids(MAX_CENSUS_ORDER + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -971,6 +1097,13 @@ def test_intersection_size_function(c2, pair2):
     assert intersection_size(pair2) == (1, True)
 
 
+def test_probe_through_the_cap_finds_no_candidate():
+    report = principal_converse_search(MAX_CENSUS_ORDER)
+    assert report.forward_holds and report.candidates == ()
+    assert len(report.rows) == 11111
+    assert sum(row.order == 20 for row in report.rows) == 3308
+
+
 def test_probe_cap():
     with pytest.raises(CapExceeded):
-        principal_converse_search(9)
+        principal_converse_search(MAX_CENSUS_ORDER + 1)

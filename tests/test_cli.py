@@ -85,6 +85,35 @@ def test_build_bad_params(tmp_path):
     assert run(["build", "cyclic", "-o", tmp_path / "x.json"]) == 2
 
 
+# each value was read through int() or str() and validated as another groupoid,
+# or, for 1e400, raised an uncaught OverflowError (exit 1)
+@pytest.mark.parametrize("order, field, text", [
+    (2, "inverse", "[0, 1.9]"),
+    (2, "product", '[["0", "1"], ["1", "0"]]'),
+    (1, "size", "true"),
+    (2, "name", "7"),
+    (2, "size", "1e400"),
+])
+def test_validate_refuses_what_is_not_a_json_integer(tmp_path, capsys, order, field, text):
+    path = tmp_path / "g.json"
+    obj = {**io.groupoid_to_dict(corpus.cyclic(order)), field: "@"}
+    path.write_text(json.dumps(obj).replace('"@"', text), encoding="utf-8")
+    assert run(["validate", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, text", [("act", "[[0, 1.7], [1, 0]]"), ("space", "2.0")])
+def test_build_transform_refuses_what_is_not_a_json_integer(tmp_path, capsys, field, text):
+    path = tmp_path / "act.json"
+    obj = {**io.action_to_dict(corpus.swap_action()), field: "@"}
+    path.write_text(json.dumps(obj).replace('"@"', text), encoding="utf-8")
+    assert run(["build", "transform", path, "-o", tmp_path / "g.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_monoid_export(tmp_path, capsys):
     path = write_c2(tmp_path)
     out = tmp_path / "monoid.json"
@@ -242,12 +271,12 @@ def test_search_order_below_one(capsys, order):
 
 
 def test_search_cap(capsys):
-    assert run(["search", "--order", 9]) == 2
+    assert run(["search", "--order", 21]) == 2
 
 
 @pytest.mark.parametrize("order, message", [
     (0, "order must be >= 1, got 0"),
-    (7, "order 7 exceeds census cap 6"),
+    (21, "order 21 exceeds census cap 20"),
 ])
 def test_probe_script_order_outside_the_census(order, message):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_probe.py"

@@ -21,7 +21,6 @@ from gpd.endo import (
     gfun,
     involution_indices,
     involution_star,
-    iter_monoid_maps,
     law_scan,
     left_translation,
     membership,
@@ -33,6 +32,17 @@ from gpd.endo import (
 )
 from gpd.errors import BaseMismatch, CapExceeded, MembershipError, ShapeError
 from gpd.groupoid import UNDEFINED
+
+
+def iter_monoid_maps(g, side="S"):
+    """Every member map in lexicographic order of its array, from the
+    definition: d(f(x)) = r(x) on side S, r(f(x)) = d(x) on side S'."""
+    if side == "S":
+        fibers = [[y for y in g.elements() if g.d(y) == g.r(x)] for x in g.elements()]
+    else:
+        fibers = [[y for y in g.elements() if g.r(y) == g.d(x)] for x in g.elements()]
+    return itertools.product(*fibers)
+
 
 # ---------------------------------------------------------------------------
 # oracle: the full star table of C(C2, C2), computed from the definition.

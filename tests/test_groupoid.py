@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import gpd.groupoid
 from gpd import corpus
 from gpd.errors import ActionViolation, AxiomViolation, CapExceeded, ShapeError
 from gpd.groupoid import (
@@ -69,6 +70,18 @@ def test_pair_groupoid_shape(n):
 def test_pair_groupoid_cap():
     with pytest.raises(CapExceeded):
         pair_groupoid(9)  # 81 > 64
+
+
+def test_cyclic_and_unit_groupoid_caps_come_before_the_table(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("table built before the cap was checked")
+
+    monkeypatch.setattr(corpus, "group_as_groupoid", fail)
+    monkeypatch.setattr(gpd.groupoid, "make_groupoid", fail)
+    for build in (corpus.cyclic, unit_groupoid):
+        with pytest.raises(CapExceeded) as err:
+            build(65)
+        assert err.value.predicted == 65
 
 
 def test_group_as_groupoid_c2_c3():

@@ -6,6 +6,8 @@ package's re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import gpd
@@ -82,3 +84,16 @@ def test_one_verdict_class():
     defs = [p.name for p in SRC.glob("*.py")
             if "class Verdict" in p.read_text(encoding="utf-8")]
     assert defs == ["operators.py"]
+
+
+def test_every_traced_name_is_a_callable_of_its_layer():
+    # the benchmark's tracer wraps gpd.<layer>.<name> and reports a missing
+    # name as absent, so a rename here would blank its metrics
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{name}" for layer, names in tracing.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"gpd.{layer}"), name, None))]
+    assert tracing.TARGETS and missing == []

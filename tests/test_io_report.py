@@ -23,13 +23,26 @@ from gpd.endo import (
 )
 from gpd.errors import ShapeError
 from gpd.groupoid import disjoint_union, morphism_classify
-from gpd.operators import Verdict, left_operator, right_operator
+from gpd.operators import Verdict
 import gpd.endo
 import gpd.groupoid
 import gpd.report
 import gpd.structure
-from gpd.structure import antihom_classification, intersection_analysis, special_elements
+from gpd.structure import antihom_classification, intersection_analysis, j_ideal, special_elements
 from gpd.report import CHECK_IDS, _Ctx, full_report
+from test_operators import left_operator, right_operator
+
+
+def linop_to_dict(fn, op) -> dict:
+    return {"fn": list(fn), "matrix": [list(row) for row in op.matrix]}
+
+
+def census_to_dict(c) -> dict:
+    """The census manifest with ``total_found`` and every representative."""
+    out = io.census_manifest(c)
+    out["total_found"] = c.total_found
+    out["groupoids"] = [io.groupoid_to_dict(g) for g in c.representatives]
+    return out
 
 
 def test_groupoid_round_trip(tmp_path, pair2):
@@ -80,7 +93,7 @@ def test_monoid_export(sg_c2):
 
 def test_linop_export(c2):
     f = gfun(c2, (1, 1))
-    obj = io.linop_to_dict(f.map, left_operator(f))
+    obj = linop_to_dict(f.map, left_operator(f))
     assert obj == {"fn": [1, 1], "matrix": [[0, 1], [1, 0]]}
 
 
@@ -89,7 +102,7 @@ def test_census_manifest():
     manifest = io.census_manifest(c)
     assert manifest["order"] == 2 and manifest["count"] == 2
     assert len(manifest["names"]) == 2
-    full = io.census_to_dict(c)
+    full = census_to_dict(c)
     assert len(full["groupoids"]) == 2
     for obj in full["groupoids"]:
         assert io.groupoid_from_dict(obj).size == 2
@@ -129,7 +142,7 @@ def rep_payload(g, side):
     t = enumerate_monoid(g, side)
     members = (gfun(g, m) for m in t.maps.tolist())
     return {"groupoid": g.name, "side": side,
-            "operators": [io.linop_to_dict(f.map, build(f)) for f in members]}
+            "operators": [linop_to_dict(f.map, build(f)) for f in members]}
 
 
 def rep_groupoids():
@@ -163,7 +176,7 @@ def real_payloads():
             yield rep_payload(g, side)
     yield full_report(disjoint_union(c3, c3)).to_dict()
     for order in range(1, 6):
-        yield io.census_to_dict(enumerate_groupoids(order))
+        yield census_to_dict(enumerate_groupoids(order))
     yield io.probe_to_dict(principal_converse_search(5))
 
 
@@ -394,6 +407,21 @@ def test_report_enumerates_only_what_checks_read(c2, monkeypatch):
     sides.clear()
     assert full_report(c2).all_passed
     assert sorted(sides) == ["S", "S'"]
+
+
+def test_report_reads_row_j_once_per_side(monkeypatch):
+    # j S is built once per side and read by P3.3.4 and the report's j_ideal
+    g = disjoint_union(corpus.cyclic(3), corpus.cyclic(3))
+    rows = []
+
+    def counting(t):
+        rows.append(t.side)
+        return j_ideal(t)
+
+    monkeypatch.setattr(gpd.report, "j_ideal", counting)
+    report = full_report(g)
+    assert sorted(rows) == ["S", "S'"]
+    assert report.j_ideal_indices == j_ideal(enumerate_monoid(g, "S"))
 
 
 def test_p311_catches_involution_fault(c2):

@@ -11,18 +11,39 @@ from gpd.endo import (
     gfun,
     involution_indices,
     involution_star,
+    left_translation,
+    right_translation,
     star,
     translation_law_witness,
 )
 from gpd.errors import MembershipError, ShapeError
-from gpd.operators import (
-    LinOp,
-    left_operator,
-    representation_audit,
-    right_operator,
-    translation_ranks,
-)
+from gpd.operators import LinOp, representation_audit, translation_ranks
 from gpd.structure import cayley_units, left_cancellative
+
+
+class Operator(LinOp):
+    """A composition operator with its 0/1 matrix and its action on vectors,
+    apply(M, v)[x] = v[tau(x)]; the audit reads ranks and signs off tau."""
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        n = self.base.size
+        return tuple(tuple(1 if c == t else 0 for c in range(n)) for t in self.tau)
+
+    def apply(self, v) -> tuple[int, ...]:
+        if len(v) != self.base.size:
+            raise ShapeError(f"vector must have length {self.base.size}")
+        return tuple(v[t] for t in self.tau)
+
+
+def left_operator(f) -> Operator:
+    """Operator of g -> g composed with the left translation of f (side S)."""
+    return Operator(f.base, left_translation(f))
+
+
+def right_operator(f) -> Operator:
+    """Operator of g -> g composed with the right translation of f (side S')."""
+    return Operator(f.base, right_translation(f))
 
 
 def exact_rank(matrix):
@@ -138,7 +159,7 @@ def test_audit_ranks_match_exact_rank(small_corpus):
             t = enumerate_monoid(g, side)
             ranks = translation_ranks(t.trans)
             for i, tau in enumerate(t.trans):
-                op = LinOp(g, tuple(int(v) for v in tau))
+                op = Operator(g, tuple(int(v) for v in tau))
                 assert ranks[i] == exact_rank(op.matrix), (name, side, i)
                 assert (op.determinant() != 0) == (ranks[i] == g.size), (name, side, i)
                 assert op.determinant() == round(np.linalg.det(op.matrix)), (name, side, i)

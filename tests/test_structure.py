@@ -8,7 +8,7 @@ import pytest
 from gpd import corpus
 from gpd.census import enumerate_groupoids
 from gpd.endo import (_BLOCK_CELLS, DEFAULT_MONOID_CAP, PRODUCT_CAP, SIDES, Membership,
-                      enumerate_monoid, gfun, involution_star, iter_monoid_maps, membership,
+                      enumerate_monoid, gfun, involution_star, membership,
                       predicted_size, star)
 from gpd.errors import EmptySubset, MembershipError, NotASubgroupoid, PreconditionFailed
 from gpd.groupoid import is_principal, morphism_classify
@@ -39,6 +39,7 @@ from gpd.structure import (
     units_crosscheck,
     validate_subgroupoid,
 )
+from test_endo import iter_monoid_maps
 
 # S_{C2} in lexicographic order: 0 = (0,0) = r, 1 = (0,1) = identity map = j,
 # 2 = (1,0) = swap, 3 = (1,1) = const-a.  The expected sets below were frozen
