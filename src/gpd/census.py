@@ -510,7 +510,7 @@ def _component_types(max_order: int) -> list[tuple[int, Groupoid, int, int]]:
     for m in range(1, max_order + 1):
         tower[m] = _groups(m, tower)
         for h in tower[m]:
-            aut = len(automorphisms(h))
+            aut = sum(1 for _ in _isomorphisms(h, h))  # counted, never listed
             types += [(m * k * k, h, k, aut * math.factorial(k) * m ** (k - 1))
                       for k in range(1, math.isqrt(max_order // m) + 1)]
     return types

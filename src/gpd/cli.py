@@ -3,8 +3,11 @@
 Subcommands: validate, build, monoid, verify, rep, search.  Every command
 is deterministic: identical inputs produce byte-identical outputs.  Exit
 codes: 0 on success / all checks passing, 1 on a mathematical failure
-(an axiom or a verified law fails on the given data), 2 on operational
-failure (I/O, malformed input, exceeded caps, usage).
+(an axiom, a verified law or search's forward implication fails on the
+given data), 2 on operational failure (I/O, malformed input, exceeded or
+non-positive caps, usage).  Each subcommand takes only the options it
+reads: -o for all, --format for all but build, --cap-monoid for monoid,
+verify and rep, --cap-order for search.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 
 from . import io
 from .census import MAX_CENSUS_ORDER, census_through, converse_probe
@@ -33,50 +35,29 @@ EXIT_MATH = 1
 EXIT_OPERATIONAL = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    output: str | None
-    cap_monoid: int
-    cap_order: int
-    fmt: str
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        output=getattr(args, "output", None),
-        cap_monoid=getattr(args, "cap_monoid", DEFAULT_MONOID_CAP),
-        cap_order=getattr(args, "cap_order", MAX_CENSUS_ORDER),
-        fmt=getattr(args, "format", "json"),
-    )
-    if cfg.cap_monoid < 1 or cfg.cap_order < 1:
-        raise OperationalError("caps must be positive")
-    return cfg
-
-
-def _emit(cfg: RunConfig, payload: dict, text_lines):
-    if cfg.fmt == "json":
+def _emit(args, payload: dict, text_lines):
+    if args.format == "json":
         data = io.dump_bytes(payload)
-        if cfg.output:
-            with open(cfg.output, "wb") as fh:
+        if args.output:
+            with open(args.output, "wb") as fh:
                 fh.write(data)
         else:
             sys.stdout.write(data.decode("utf-8"))
     else:
         text = "\n".join(text_lines) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
 
 
 def cmd_validate(args) -> int:
-    cfg = _config(args)
     try:
         g = io.load_groupoid(args.path)
     except MathError as err:
         payload = {"valid": False, "error": str(err)}
-        _emit(cfg, payload, [f"INVALID: {err}"])
+        _emit(args, payload, [f"INVALID: {err}"])
         return EXIT_MATH
     payload = {
         "valid": True,
@@ -85,13 +66,12 @@ def cmd_validate(args) -> int:
         "units": list(g.units),
         "principal": is_principal(g),
     }
-    _emit(cfg, payload, [f"VALID: {g.name or 'groupoid'} "
-                         f"({g.size} elements, {len(g.units)} units)"])
+    _emit(args, payload, [f"VALID: {g.name or 'groupoid'} "
+                          f"({g.size} elements, {len(g.units)} units)"])
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
-    _config(args)
     if not args.output:
         raise OperationalError("build needs -o/--output")
     kind = args.kind
@@ -114,25 +94,23 @@ def cmd_build(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    cfg = _config(args)
     g = io.load_groupoid(args.path)
-    t = enumerate_monoid(g, args.side, cfg.cap_monoid)
+    t = enumerate_monoid(g, args.side, args.cap_monoid)
     payload = io.monoid_to_dict(t)
     lines = [f"{t.side}-monoid of {g.name or 'groupoid'}: {len(t)} elements, "
              f"identity index {t.identity}"]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     g = io.load_groupoid(args.path)
     checks = None
     if args.props != "all":
         checks = tuple(p.strip() for p in args.props.split(",") if p.strip())
         if not checks:
             raise OperationalError(f"--props {args.props!r} names no check id")
-    report = full_report(g, checks, cfg.cap_monoid)
+    report = full_report(g, checks, args.cap_monoid)
     payload = report.to_dict()
     lines = [f"{g.name or 'groupoid'}: |S| = {report.monoid_size}"]
     for cid, verdict in report.verdicts.items():
@@ -140,25 +118,23 @@ def cmd_verify(args) -> int:
             lines.append(f"  {cid}: SKIPPED ({verdict.witness})")
         else:
             lines.append(f"  {cid}: {'PASS' if verdict.passed else 'FAIL'}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     if checks is not None and any(v.passed is None for v in report.verdicts.values()):
         return EXIT_OPERATIONAL
     return EXIT_OK if report.all_passed else EXIT_MATH
 
 
 def cmd_rep(args) -> int:
-    cfg = _config(args)
     g = io.load_groupoid(args.path)
-    t = enumerate_monoid(g, args.side, cfg.cap_monoid)
+    t = enumerate_monoid(g, args.side, args.cap_monoid)
     payload = io.rep_to_dict(t)
     lines = [f"{len(t)} operators of size {g.size}x{g.size}"]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    cfg = _config(args)
-    censuses = census_through(args.order, cfg.cap_order)
+    censuses = census_through(args.order, args.cap_order)
     report = converse_probe(args.order, censuses)
     if args.census_dir:
         import os
@@ -180,8 +156,8 @@ def cmd_search(args) -> int:
         lines.append(f"counterexample candidates: {', '.join(report.candidates)}")
     else:
         lines.append(f"no counterexample up to order {report.max_order}")
-    _emit(cfg, payload, lines)
-    return EXIT_OK
+    _emit(args, payload, lines)
+    return EXIT_OK if report.forward_holds else EXIT_MATH
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -189,41 +165,45 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gpd", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap-monoid", type=int, default=DEFAULT_MONOID_CAP,
-                        help="largest monoid to enumerate (default 1000000)")
-    common.add_argument("--cap-order", type=int, default=MAX_CENSUS_ORDER,
-                        help=f"largest census order (default {MAX_CENSUS_ORDER})")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("-o", "--output", default=None, help="write the report here")
+    def option(*flags, **kwargs):  # a parent parser for the commands that read this option
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
 
-    p = sub.add_parser("validate", parents=[common], help="check a groupoid file")
+    cap_monoid = option("--cap-monoid", type=int, default=DEFAULT_MONOID_CAP,
+                        help="largest monoid to enumerate (default 1000000)")
+    cap_order = option("--cap-order", type=int, default=MAX_CENSUS_ORDER,
+                       help=f"largest census order (default {MAX_CENSUS_ORDER})")
+    fmt = option("--format", choices=("json", "text"), default="json")
+    output = option("-o", "--output", default=None, help="write the report here")
+
+    p = sub.add_parser("validate", parents=[fmt, output], help="check a groupoid file")
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("build", parents=[common], help="construct a groupoid file")
+    p = sub.add_parser("build", parents=[output], help="construct a groupoid file")
     p.add_argument("kind", choices=("cyclic", "pair", "union", "transform", "unitset"))
     p.add_argument("params", nargs="*")
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("monoid", parents=[common], help="enumerate one side")
+    p = sub.add_parser("monoid", parents=[cap_monoid, fmt, output], help="enumerate one side")
     p.add_argument("path")
     p.add_argument("--side", choices=("S", "S'"), default="S")
     p.set_defaults(fn=cmd_monoid)
 
-    p = sub.add_parser("verify", parents=[common], help="run the check suite")
+    p = sub.add_parser("verify", parents=[cap_monoid, fmt, output], help="run the check suite")
     p.add_argument("path")
     p.add_argument("--props", default="all",
                    help="comma-separated check ids (default: all); "
                         f"known ids: {', '.join(CHECK_IDS)}")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("rep", parents=[common], help="export operator matrices")
+    p = sub.add_parser("rep", parents=[cap_monoid, fmt, output], help="export operator matrices")
     p.add_argument("path")
     p.add_argument("--side", choices=("S", "S'"), default="S")
     p.set_defaults(fn=cmd_rep)
 
-    p = sub.add_parser("search", parents=[common], help="census and converse probe")
+    p = sub.add_parser("search", parents=[cap_order, fmt, output], help="census and converse probe")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--census-dir", default=None,
                    help="also write every census groupoid file plus a manifest per order")
@@ -238,6 +218,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OPERATIONAL if exc.code else EXIT_OK
     try:
+        if min(getattr(args, "cap_monoid", 1), getattr(args, "cap_order", 1)) < 1:
+            raise OperationalError("caps must be positive")
         return args.fn(args)
     except MathError as err:
         print(f"mathematical failure: {err}", file=sys.stderr)

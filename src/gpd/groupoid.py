@@ -5,7 +5,11 @@ is the product id or the sentinel -1 for a non-composable pair; the inverse
 is a total length-n array.  A ``Groupoid`` is only ever produced by
 ``build_groupoid``, which checks every axiom exhaustively (all pairs and
 all triples), so downstream code trusts the derived range/domain maps and
-fiber decompositions without re-checking.
+fiber decompositions without re-checking.  ``make_groupoid`` and
+``make_action`` take an ``int`` (never a bool, float or numeric string)
+wherever a file holds a JSON integer and a ``str`` name, and raise
+``ShapeError`` otherwise; the file reader calls them, so Python callers and
+files meet one rule.
 
 All groupoids carry the discrete topology, under which every self-map is
 continuous; no continuity conditions are represented.
@@ -40,13 +44,27 @@ class GroupoidSpec:
     name: str = ""
 
 
-def _as_spec(size, product, inverse, name):
+def _ints(values, field: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each exactly an ``int``: a bool, float or
+    numeric string is refused, never coerced, by one C-level scan of types."""
+    row = tuple(values)
+    if not {int}.issuperset(map(type, row)):
+        bad = next(v for v in row if type(v) is not int)
+        raise ShapeError(f"{field} holds {bad!r}, not a JSON integer")
+    return row
+
+
+def _as_spec(size, product, inverse, name) -> GroupoidSpec:
+    """The one typing rule, for files and Python callers alike: integers where
+    a groupoid file holds JSON integers, a ``str`` name."""
+    if type(name) is not str:
+        raise ShapeError(f"name holds {name!r}, not a JSON string")
     try:
-        prod = tuple(tuple(int(v) for v in row) for row in product)
-        inv = tuple(int(v) for v in inverse)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"non-integer table entry: {exc}") from None
-    return GroupoidSpec(int(size), prod, inv, str(name))
+        return GroupoidSpec(_ints([size], "size")[0],
+                            tuple(_ints(row, "product") for row in product),
+                            _ints(inverse, "inverse"), name)
+    except TypeError as exc:  # a table or row that is not a sequence
+        raise ShapeError(f"malformed groupoid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -206,7 +224,7 @@ def build_groupoid(spec: GroupoidSpec) -> Groupoid:
 
 
 def make_groupoid(size, product, inverse, name="") -> Groupoid:
-    """Shorthand: coerce raw sequences into a spec and validate it."""
+    """Type-check raw sequences into a spec (``_as_spec``) and validate it."""
     return build_groupoid(_as_spec(size, product, inverse, name))
 
 
@@ -311,9 +329,12 @@ def validate_action(a: GroupAction) -> GroupAction:
 
 
 def make_action(group: Groupoid, space: int, act) -> GroupAction:
-    return validate_action(
-        GroupAction(group, int(space), tuple(tuple(int(v) for v in row) for row in act))
-    )
+    """Type-check ``space`` and ``act`` by ``_as_spec``'s rule and validate the action."""
+    try:
+        a = GroupAction(group, _ints([space], "space")[0], tuple(_ints(row, "act") for row in act))
+    except TypeError as exc:  # a table or row that is not a sequence
+        raise ShapeError(f"malformed action: {exc}") from None
+    return validate_action(a)
 
 
 def transformation_groupoid(a: GroupAction, name="") -> Groupoid:

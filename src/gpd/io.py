@@ -12,6 +12,10 @@ Census manifest:   {"order": n, "count": k, "names": [...]}
 Probe row:         {"order", "name", "principal", "intersection_size",
                     "candidate"}
 
+Reading a groupoid or action object is a key lookup plus ``make_groupoid``
+or ``make_action``, whose typing rule (a JSON integer wherever an integer is
+meant, a string name, nothing coerced) refuses the rest with ``ShapeError``.
+
 All dumps are canonical: exactly
 ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` in UTF-8, so identical
 inputs give identical files.  ``dump_bytes`` writes these bytes through the
@@ -45,7 +49,7 @@ import numpy as np
 from .census import Census, ProbeReport
 from .endo import MonoidTable
 from .errors import ShapeError
-from .groupoid import GroupAction, Groupoid, GroupoidSpec, build_groupoid, make_action
+from .groupoid import GroupAction, Groupoid, make_action, make_groupoid
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -165,7 +169,8 @@ def _load(path) -> Any:
     try:
         with open(path, "rb") as fh:
             return json.loads(fh.read().decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON or an integer past Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ShapeError(f"cannot read {path}: {exc}") from None
 
 
@@ -182,27 +187,14 @@ def groupoid_to_dict(g: Groupoid) -> dict:
     }
 
 
-def _typed(v: Any, field: str, kind: type = int):
-    """v when its type is exactly kind: a bool, float or string is refused
-    where an integer belongs, a number where a string does; none is coerced."""
-    if type(v) is not kind:
-        raise ShapeError(f"{field} holds {v!r}, not a JSON {'integer' if kind is int else 'string'}")
-    return v
-
-
 def groupoid_from_dict(obj: Any) -> Groupoid:
     if not isinstance(obj, dict):
         raise ShapeError("groupoid object must be a JSON object")
     try:
-        spec = GroupoidSpec(
-            size=_typed(obj["size"], "size"),
-            product=tuple(tuple(_typed(v, "product") for v in row) for row in obj["product"]),
-            inverse=tuple(_typed(v, "inverse") for v in obj["inverse"]),
-            name=_typed(obj.get("name", ""), "name", str),
-        )
-    except (KeyError, TypeError) as exc:
+        fields = obj["size"], obj["product"], obj["inverse"], obj.get("name", "")
+    except KeyError as exc:
         raise ShapeError(f"malformed groupoid object: {exc!r}") from None
-    return build_groupoid(spec)
+    return make_groupoid(*fields)
 
 
 def load_groupoid(path) -> Groupoid:
@@ -229,11 +221,10 @@ def action_from_dict(obj: Any) -> GroupAction:
     if not isinstance(obj, dict):
         raise ShapeError("action object must be a JSON object")
     try:
-        group = groupoid_from_dict(obj["group"])
-        act = [[_typed(v, "act") for v in row] for row in obj["act"]]
-        return make_action(group, _typed(obj["space"], "space"), act)
-    except (KeyError, TypeError) as exc:
+        group, space, act = obj["group"], obj["space"], obj["act"]
+    except KeyError as exc:
         raise ShapeError(f"malformed action object: {exc!r}") from None
+    return make_action(groupoid_from_dict(group), space, act)
 
 
 def load_action(path) -> GroupAction:

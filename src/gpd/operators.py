@@ -14,7 +14,8 @@ translation (f(x) = tau(x) x^-1).
 All arithmetic is exact and read off the translation array: M(tau) has
 one 1 per row, so its rank is the number of distinct values of tau, it is
 invertible exactly when tau is a permutation, and then its determinant is
-the sign of that permutation.
+the sign of that permutation (``permutation_sign``, which a failing
+P4.x ``units_invertible`` witness reports).  No operator object is built.
 """
 
 from __future__ import annotations
@@ -24,35 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endo import MonoidTable, translation_law_witness
-from .groupoid import Groupoid
 
 
-@dataclass(frozen=True, eq=False)
-class LinOp:
-    """A composition operator: 0/1 matrix with one 1 per row."""
-
-    base: Groupoid
-    tau: tuple[int, ...]
-
-    def determinant(self) -> int:
-        """0 unless tau is a permutation, otherwise its sign."""
-        n = self.base.size
-        if len(set(self.tau)) != n:
-            return 0
-        seen = [False] * n
-        sign = 1
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
+def permutation_sign(tau) -> int:
+    """det M(tau): 0 unless ``tau`` permutes ``range(len(tau))``, else its sign."""
+    n = len(tau)
+    if set(tau) != set(range(n)):
+        return 0
+    seen, cycles = [False] * n, 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
             x = start
             while not seen[x]:
                 seen[x] = True
-                x = self.tau[x]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+                x = tau[x]
+    return -1 if (n - cycles) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -96,7 +84,7 @@ def _audit_one_side(t: MonoidTable, unit_indices, cancellative_indices) -> dict[
     units_v = dense_v = Verdict(True)
     i = _first_mismatch(full, unit_indices)
     if i is not None:
-        units_v = Verdict(False, (i, LinOp(g, tuple(map(int, t.trans[i]))).determinant()))
+        units_v = Verdict(False, (i, permutation_sign(t.trans[i].tolist())))
     i = _first_mismatch(full, cancellative_indices)
     if i is not None:
         dense_v = Verdict(False, (i,))

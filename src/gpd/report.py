@@ -6,9 +6,10 @@ enumerated only when a check reads it and each fact is computed once.  Each
 claim is decided in ``structure`` or ``operators``, which return a
 ``Verdict``; a check here adds the side name to a failing witness, or
 compares index sets and masks.  ``full_report`` produces a
-``StructureReport``: the structural index sets (side S) plus one verdict
-per check id.  The ids below are the stable names used in report files and
-on the command line (see the README table for what each one verifies):
+``StructureReport``: one verdict per check id plus ``structure``, the
+structural index sets of side S, built once as the report's JSON block.
+The ids below are the stable names used in report files and on the
+command line (see the README table for what each one verifies):
 
     P3.2     monoid laws on both sides; the involution is an isomorphism
     P3.3.1   j is a shared idempotent right zero
@@ -82,16 +83,12 @@ INTERTWINING_SWEEP_CAP = 1_000_000
 
 @dataclass
 class StructureReport:
+    """The verdicts plus ``structure``, side S's index sets exactly as the
+    report's JSON block prints them."""
+
     groupoid: Groupoid
     monoid_size: int
-    idempotent_indices: tuple[int, ...]
-    right_zero_indices: tuple[int, ...]
-    left_zero_indices: tuple[int, ...]
-    unit_group_indices: tuple[int, ...]
-    unit_group_inverse: dict[int, int]
-    tg_indices: tuple[int, ...]
-    j_ideal_indices: tuple[int, ...]
-    intersection_indices: tuple[int, ...]
+    structure: dict
     verdicts: dict[str, Verdict]
 
     @property
@@ -107,18 +104,7 @@ class StructureReport:
             "size": self.groupoid.size,
             "monoid_size": self.monoid_size,
             "checks": {k: v.as_dict() for k, v in self.verdicts.items()},
-            "structure": {
-                "idempotents": list(self.idempotent_indices),
-                "right_zeros": list(self.right_zero_indices),
-                "left_zeros": list(self.left_zero_indices),
-                "unit_group": {
-                    "indices": list(self.unit_group_indices),
-                    "inverse": {str(k): v for k, v in self.unit_group_inverse.items()},
-                },
-                "tg": list(self.tg_indices),
-                "j_ideal": list(self.j_ideal_indices),
-                "intersection": list(self.intersection_indices),
-            },
+            "structure": self.structure,
         }
 
 
@@ -396,16 +382,14 @@ def full_report(
     ctx = _Ctx(g, cap)
     verdicts = {cid: _CHECKS[cid](ctx) for cid in CHECK_IDS if cid in selected}
     s = ctx.sides[0]
-    return StructureReport(
-        groupoid=g,
-        monoid_size=len(s.table),
-        idempotent_indices=s.special.idempotents,
-        right_zero_indices=s.special.right_zeros,
-        left_zero_indices=s.special.left_zeros,
-        unit_group_indices=s.bijective[0],
-        unit_group_inverse=s.h1[0],
-        tg_indices=s.bijective[0],
-        j_ideal_indices=s.j_ideal,
-        intersection_indices=ctx.inter,
-        verdicts=verdicts,
-    )
+    structure = {
+        "idempotents": list(s.special.idempotents),
+        "right_zeros": list(s.special.right_zeros),
+        "left_zeros": list(s.special.left_zeros),
+        "unit_group": {"indices": list(s.bijective[0]),
+                       "inverse": {str(k): v for k, v in s.h1[0].items()}},
+        "tg": list(s.bijective[0]),
+        "j_ideal": list(s.j_ideal),
+        "intersection": list(ctx.inter),
+    }
+    return StructureReport(g, len(s.table), structure, verdicts)

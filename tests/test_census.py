@@ -585,6 +585,21 @@ def test_census_counts_through_order_15():
         assert len(keys) == c.count, c.order
 
 
+def test_component_types_count_automorphisms_without_listing_them(monkeypatch):
+    # |Aut(H)| was len(automorphisms(H)), a sorted list of every map (20160
+    # for C2^4); the tower is built first, since _groups lists them on purpose
+    tower = group_tower(12)
+    expected = [(m * k * k, h, k, len(automorphisms(h)) * math.factorial(k) * m ** (k - 1))
+                for m in range(1, 13) for h in tower[m] for k in range(1, math.isqrt(12 // m) + 1)]
+
+    def listed(g):
+        raise AssertionError("_component_types listed the automorphisms")
+
+    monkeypatch.setattr(census, "_groups", lambda m, _: tower[m])
+    monkeypatch.setattr(census, "automorphisms", listed)
+    assert census._component_types(12) == expected
+
+
 def group_tower(top):
     """``_groups`` of every order up to top, built smallest order first."""
     tower = {}

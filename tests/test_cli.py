@@ -86,13 +86,17 @@ def test_build_bad_params(tmp_path):
 
 
 # each value was read through int() or str() and validated as another groupoid,
-# or, for 1e400, raised an uncaught OverflowError (exit 1)
+# or, for 1e400, raised an uncaught OverflowError (exit 1); json.loads raised
+# an uncaught ValueError past Python's 4300-digit limit for int, and an
+# uncaught RecursionError on deep nesting
 @pytest.mark.parametrize("order, field, text", [
     (2, "inverse", "[0, 1.9]"),
     (2, "product", '[["0", "1"], ["1", "0"]]'),
     (1, "size", "true"),
     (2, "name", "7"),
     (2, "size", "1e400"),
+    pytest.param(2, "size", "1" * 5000, id="2-size-5000-digits"),
+    pytest.param(2, "inverse", "[" * 3000 + "]" * 3000, id="2-inverse-3000-deep"),
 ])
 def test_validate_refuses_what_is_not_a_json_integer(tmp_path, capsys, order, field, text):
     path = tmp_path / "g.json"
@@ -299,6 +303,46 @@ def test_probe_script_output_in_a_missing_directory(tmp_path):
     assert "forward implication" in proc.stdout
     assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
     assert str(out) in proc.stderr and not out.parent.exists()
+
+
+# each command took all four options, and ignored those it does not read
+@pytest.mark.parametrize("args", [
+    ["validate", "@", "--cap-monoid", 5],
+    ["validate", "@", "--cap-order", 3],
+    ["build", "cyclic", 2, "-o", "@out", "--format", "text"],
+    ["build", "cyclic", 2, "-o", "@out", "--cap-monoid", 5],
+    ["build", "cyclic", 2, "-o", "@out", "--cap-order", 3],
+    ["monoid", "@", "--cap-order", 3],
+    ["verify", "@", "--cap-order", 3],
+    ["rep", "@", "--cap-order", 3],
+    ["search", "--order", 1, "--cap-monoid", 5],
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, args):
+    path, out = write_c2(tmp_path), tmp_path / "out.json"
+    assert run([path if a == "@" else out if a == "@out" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["verify", "@", "--cap-monoid", 0],
+                                  ["monoid", "@", "--cap-monoid", -1],
+                                  ["search", "--order", 1, "--cap-order", 0]])
+def test_caps_must_be_positive(tmp_path, capsys, args):
+    path = write_c2(tmp_path)
+    assert run([path if a == "@" else a for a in args]) == 2
+    assert capsys.readouterr() == ("", "error: caps must be positive\n")
+
+
+def test_search_exits_1_when_the_forward_implication_fails(monkeypatch, capsys):
+    # a principal groupoid whose intersection is not {j} refutes it
+    real = census.intersection_size
+    monkeypatch.setattr(census, "intersection_size",
+                        lambda g: (2, False) if gpd.groupoid.is_principal(g) else real(g))
+    assert run(["search", "--order", 2]) == 1
+    assert json.loads(capsys.readouterr().out)["forward_holds"] is False
+    assert run(["search", "--order", 2, "--format", "text"]) == 1
+    assert "forward implication FAILS" in capsys.readouterr().out
 
 
 def test_usage_error():

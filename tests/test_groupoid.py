@@ -208,6 +208,47 @@ def test_composability_criterion_both_ways(named_corpus):
                 assert g.defined(x, y) == (g.r(y) == g.d(x))
 
 
+UNITS2_PRODUCT = [[0, -1], [-1, 1]]
+
+
+# make_groupoid applied int() and str() to every value, so each of these
+# built units(2) or the trivial groupoid, differing from what it was given
+@pytest.mark.parametrize("size, product, inverse, name, message", [
+    (2, UNITS2_PRODUCT, [0, 1.9], "", "inverse holds 1.9, not a JSON integer"),
+    (2, [[0, -1], [-1, "1"]], [0, 1], "", "product holds '1', not a JSON integer"),
+    (2, UNITS2_PRODUCT, ["0", 1], "", "inverse holds '0', not a JSON integer"),
+    (1, [[False]], [0], "", "product holds False, not a JSON integer"),
+    (True, [[0]], [0], "", "size holds True, not a JSON integer"),
+    (2.7, UNITS2_PRODUCT, [0, 1], "", "size holds 2.7, not a JSON integer"),
+    (2, UNITS2_PRODUCT, [0, 1], 7, "name holds 7, not a JSON string"),
+])
+def test_make_groupoid_refuses_what_is_not_a_json_integer(size, product, inverse, name, message):
+    with pytest.raises(ShapeError) as err:
+        make_groupoid(size, product, inverse, name)
+    assert str(err.value) == message
+
+
+# make_action applied int() to every value, so each of these built the swap
+# action; a table that is not a sequence raised TypeError
+@pytest.mark.parametrize("space, act, message", [
+    (2.0, [[0, 1], [1, 0]], "space holds 2.0, not a JSON integer"),
+    (2, [[0, 1.7], [1, 0.2]], "act holds 1.7, not a JSON integer"),
+    (2, [["0", "1"], ["1", "0"]], "act holds '0', not a JSON integer"),
+    (2, [[0, True], [True, 0]], "act holds True, not a JSON integer"),
+    (2, None, "malformed action: 'NoneType' object is not iterable"),
+])
+def test_make_action_refuses_what_is_not_a_json_integer(space, act, message):
+    with pytest.raises(ShapeError) as err:
+        make_action(corpus.cyclic(2), space, act)
+    assert str(err.value) == message
+
+
+def test_tables_that_are_not_sequences_are_shape_errors():
+    for product, inverse in ((5, [0]), ([0], [0]), ([[0]], None)):
+        with pytest.raises(ShapeError, match="^malformed groupoid: "):
+            make_groupoid(1, product, inverse)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         make_groupoid(2, [[0, -1]], [0, 1])  # ragged

@@ -367,12 +367,14 @@ def test_full_report_c2(c2):
     assert set(report.verdicts) == set(CHECK_IDS)
     assert report.all_passed, report.failed()
     assert report.monoid_size == 4
-    assert report.idempotent_indices == (0, 1, 2)
-    assert report.right_zero_indices == (1, 2)
-    assert report.unit_group_indices == (0, 3)
-    assert report.tg_indices == (0, 3)
-    assert report.j_ideal_indices == (1, 2)
-    assert len(report.intersection_indices) == 4
+    s = report.structure
+    assert s["idempotents"] == [0, 1, 2]
+    assert s["right_zeros"] == [1, 2]
+    assert s["unit_group"]["indices"] == [0, 3]
+    assert s["tg"] == [0, 3]
+    assert s["j_ideal"] == [1, 2]
+    assert len(s["intersection"]) == 4
+    assert report.to_dict()["structure"] is s
 
 
 def test_full_report_selection(c2):
@@ -421,7 +423,7 @@ def test_report_reads_row_j_once_per_side(monkeypatch):
     monkeypatch.setattr(gpd.report, "j_ideal", counting)
     report = full_report(g)
     assert sorted(rows) == ["S", "S'"]
-    assert report.j_ideal_indices == j_ideal(enumerate_monoid(g, "S"))
+    assert report.structure["j_ideal"] == list(j_ideal(enumerate_monoid(g, "S")))
 
 
 def test_p311_catches_involution_fault(c2):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +18,18 @@ from gpd.endo import (
     translation_law_witness,
 )
 from gpd.errors import MembershipError, ShapeError
-from gpd.operators import LinOp, representation_audit, translation_ranks
+from gpd.groupoid import Groupoid
+from gpd.operators import permutation_sign, representation_audit, translation_ranks
 from gpd.structure import cayley_units, left_cancellative
 
 
-class Operator(LinOp):
+@dataclass(frozen=True, eq=False)
+class Operator:
     """A composition operator with its 0/1 matrix and its action on vectors,
     apply(M, v)[x] = v[tau(x)]; the audit reads ranks and signs off tau."""
+
+    base: Groupoid
+    tau: tuple[int, ...]
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -34,6 +40,9 @@ class Operator(LinOp):
         if len(v) != self.base.size:
             raise ShapeError(f"vector must have length {self.base.size}")
         return tuple(v[t] for t in self.tau)
+
+    def determinant(self) -> int:
+        return permutation_sign(self.tau)
 
 
 def left_operator(f) -> Operator:
