@@ -2,9 +2,13 @@
 """Print what each check id of ``gpd verify`` costs on one groupoid.
 
 The first line after the header times the two Cayley tables
-(``enumerate_monoid`` on both sides).  Every check id then runs on a fresh
-report context that holds copies of those tables with no cached facts, so
-a check pays for each fact it reads except the tables.  The last lines
+(``enumerate_monoid`` on both sides).  The next four split each side into
+its translation certificate (``cert``: the flat (x, v, w) triple kernel,
+``endo._certificate``) and its table fill (``fill``: the product columns
+gathered from the triples and summed into the Cayley table).  Every check
+id then runs on a fresh report context that holds copies of those tables
+with no cached facts, so a check pays for each fact it reads except the
+tables.  The last lines
 time the export layer on each side: ``io.dump_bytes`` of the ``gpd
 monoid`` payload and of the ``gpd rep`` payload, each dict built inside the
 timed call.  Figures are milliseconds, the best of three runs; nothing is
@@ -27,7 +31,8 @@ import time
 
 from gpd import io
 from gpd.corpus import standard_corpus
-from gpd.endo import DEFAULT_MONOID_CAP, SIDES, enumerate_monoid
+from gpd.endo import (DEFAULT_MONOID_CAP, SIDES, _cayley_table, _certificate, _Kernel,
+                      _product_columns, enumerate_monoid)
 from gpd.errors import GpdError
 from gpd.report import _CHECKS, CHECK_IDS, _Ctx
 
@@ -69,6 +74,12 @@ def main():
     print(f"{g.name or args.groupoid}: |S| = {len(tables[0])}, |S'| = {len(tables[1])}, "
           f"best of {REPEATS}, ms")
     print(f"{'tables':<10}{best_ms(lambda _: [enumerate_monoid(g, side) for side in SIDES]):10.2f}")
+    for t in tables:
+        cert = _certificate(_Kernel(g), t.side)
+        ms = best_ms(lambda side: _certificate(_Kernel(g), side), lambda: t.side)
+        print(f"{'cert ' + t.side:<10}{ms:10.2f}")
+        ms = best_ms(lambda c: _cayley_table(_product_columns(c, len(t)), c.pos, c.strides, len(t)), lambda: cert)
+        print(f"{'fill ' + t.side:<10}{ms:10.2f}")
     total = 0.0
     for cid in CHECK_IDS:
         ms = best_ms(_CHECKS[cid], fresh_ctx)

@@ -12,7 +12,6 @@ from .groupoid import (
     GroupoidSpec,
     build_groupoid,
     disjoint_union,
-    fixed_points,
     group_as_groupoid,
     is_principal,
     make_action,

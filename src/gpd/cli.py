@@ -19,7 +19,7 @@ import sys
 from . import io
 from .census import MAX_CENSUS_ORDER, census_through, converse_probe
 from .corpus import cyclic
-from .endo import DEFAULT_MONOID_CAP, enumerate_monoid
+from .endo import DEFAULT_MONOID_CAP, certified_members, enumerate_monoid
 from .errors import MathError, OperationalError
 from .groupoid import (
     disjoint_union,
@@ -71,24 +71,26 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# kind -> (number of parameters, the groupoid built from them)
+_BUILDS = {
+    "cyclic": (1, lambda n: cyclic(int(n))),
+    "pair": (1, lambda n: pair_groupoid(int(n))),
+    "union": (2, lambda a, b: disjoint_union(io.load_groupoid(a), io.load_groupoid(b))),
+    "transform": (1, lambda path: transformation_groupoid(io.load_action(path))),
+    "unitset": (1, lambda n: unit_groupoid(int(n))),
+}
+
+
 def cmd_build(args) -> int:
     if not args.output:
         raise OperationalError("build needs -o/--output")
-    kind = args.kind
-    params = args.params
+    arity, build = _BUILDS[args.kind]
     try:
-        if kind == "cyclic":
-            g = cyclic(int(params[0]))
-        elif kind == "pair":
-            g = pair_groupoid(int(params[0]))
-        elif kind == "unitset":
-            g = unit_groupoid(int(params[0]))
-        elif kind == "union":
-            g = disjoint_union(io.load_groupoid(params[0]), io.load_groupoid(params[1]))
-        else:
-            g = transformation_groupoid(io.load_action(params[0]))
-    except (IndexError, ValueError) as exc:
-        raise OperationalError(f"bad parameters for build {kind}: {exc}") from None
+        if len(args.params) != arity:
+            raise ValueError(f"takes {arity} parameter{'s' * (arity > 1)}, got {len(args.params)}")
+        g = build(*args.params)
+    except ValueError as exc:
+        raise OperationalError(f"bad parameters for build {args.kind}: {exc}") from None
     io.save_groupoid(args.output, g)
     return EXIT_OK
 
@@ -126,7 +128,7 @@ def cmd_verify(args) -> int:
 
 def cmd_rep(args) -> int:
     g = io.load_groupoid(args.path)
-    t = enumerate_monoid(g, args.side, args.cap_monoid)
+    t = certified_members(g, args.side, args.cap_monoid)  # no Cayley table
     payload = io.rep_to_dict(t)
     lines = [f"{len(t)} operators of size {g.size}x{g.size}"]
     _emit(args, payload, lines)
@@ -182,7 +184,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", parents=[output], help="construct a groupoid file")
-    p.add_argument("kind", choices=("cyclic", "pair", "union", "transform", "unitset"))
+    p.add_argument("kind", choices=tuple(_BUILDS))
     p.add_argument("params", nargs="*")
     p.set_defaults(fn=cmd_build)
 

@@ -13,17 +13,21 @@ table's ``maps``, numbered by ``MonoidTable.rank``.  Associativity is certified,
 never sampled, by Lemma 3.7: the product is closed, distinct members have
 distinct translations, and each translation law holds at every
 (x, f(x), g), which covers all |S|^3 triples exactly.  It is the one
-vectorized (numpy) product evaluation, one row per (x, f(x)) over the
-values of g at one position: Cayley tables and the identity laws are read
-off its rows.  The scalar ``star``/``star_prime`` functions are
-the semantic reference the vector paths are tested against.
+vectorized (numpy) product evaluation, one flat array of (x, f(x), g(c))
+triples per side: Cayley tables are one gather from it and both identity
+laws are read off it, so ``gpd rep`` takes certified ``Members`` and fills
+no table.  The scalar ``star``/``star_prime`` functions are the semantic
+reference the vector paths are tested against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -202,55 +206,37 @@ def _radix(g: Groupoid, side: str) -> tuple[np.ndarray, np.ndarray]:
     """pos[x, y] = y's place in x's sorted fiber (-1 off it), and the strides
     numbering member f lexicographically as sum_x strides[x] * pos[x, f(x)]."""
     fibers = _position_fibers(g, side)
-    n = g.size
-    pos = -np.ones((n, g.size), dtype=np.int64)
-    for x, fib in enumerate(fibers):
-        for p, y in enumerate(fib):
-            pos[x, y] = p
-    strides = np.ones(n, dtype=np.int64)
-    for x in range(n - 2, -1, -1):
-        strides[x] = strides[x + 1] * len(fibers[x + 1])
-    return pos, strides
-
-
-def _rank(pos: np.ndarray, strides: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Member indices of a (T, n) stack of maps under ``_radix``'s numbering,
-    -1 for a row that leaves its fiber at some position."""
-    p = pos[np.arange(len(strides))[None, :], rows]
-    return np.where((p < 0).any(axis=1), -1, (p * strides[None, :]).sum(axis=1))
+    k = [len(fib) for fib in fibers]
+    pos = np.full((g.size, g.size), -1, dtype=np.int64)
+    pos[np.arange(g.size).repeat(k), np.fromiter(chain.from_iterable(fibers), np.int64)] = \
+        np.fromiter(chain.from_iterable(map(range, k)), np.int64)
+    strides = [*accumulate(k[:0:-1], mul, initial=1)][::-1]  # exact; object past int64 (law_scan only)
+    return pos, np.array(strides, dtype=np.int64 if strides[0] * k[0] < 1 << 63 else object)
 
 
 @dataclass(frozen=True, eq=False)
-class MonoidTable:
-    """A fully enumerated monoid as arrays: member i is row i of ``maps``,
-    the (|S|, n) member maps in lexicographic order, which ``rank``
-    numbers; ``op`` is the index Cayley table, ``identity`` an index, and
+class Members:
+    """One side as arrays, certified (closure, associativity, both identity
+    laws) before it is handed out: member i is row i of ``maps``, in
+    lexicographic order, which ``rank`` numbers; ``identity`` is an index and
     ``trans`` holds each member's translation (left on S, right on S').
-
-    Construction verifies totality, both identity laws, and associativity
-    (by the translation certificate) before the table is handed out.  Facts
-    cached on the instance are recomputed for a ``dataclasses.replace`` copy.
-    """
+    Cached facts are recomputed for a ``dataclasses.replace`` copy."""
 
     groupoid: Groupoid
     side: str
-    op: np.ndarray
     identity: int
     trans: np.ndarray
     maps: np.ndarray
 
     @cached_property
-    def radix(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_radix`` of the table's groupoid and side, which ``rank`` reads."""
+    def radix(self) -> tuple[np.ndarray, np.ndarray]:  # _radix, which rank reads
         return _radix(self.groupoid, self.side)
 
     def rank(self, rows) -> np.ndarray:
         """The member index of each row of a (T, n) stack of maps, -1 off this side."""
-        return _rank(*self.radix, np.asarray(rows))
-
-    @cached_property
-    def law_witness(self) -> tuple[int, int] | None:
-        return translation_law_witness(self.trans, self.op)
+        pos, strides = self.radix
+        p = pos[np.arange(len(strides))[None, :], np.asarray(rows)]
+        return np.where((p < 0).any(axis=1), -1, (p * strides[None, :]).sum(axis=1))
 
     @cached_property
     def distinct_translations(self) -> int:
@@ -260,11 +246,22 @@ class MonoidTable:
     def __len__(self):
         return len(self.maps)
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.op[i, j])
-
     def __repr__(self):
         return f"<monoid {self.side} of {self.groupoid!r}: {len(self)} elements>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class MonoidTable(Members):
+    """``Members`` and ``op``, the index Cayley table, checked on both identity laws."""
+
+    op: np.ndarray
+
+    @cached_property
+    def law_witness(self) -> tuple[int, int] | None:
+        return translation_law_witness(self.trans, self.op)
+
+    def mul(self, i: int, j: int) -> int:
+        return int(self.op[i, j])
 
 
 _CODE_BOUND = 1 << 53    # float64 holds every integer up to 2^53, so codes and partial sums are exact
@@ -315,36 +312,39 @@ def translation_law_witness(trans: np.ndarray, op: np.ndarray) -> tuple[int, int
     return None
 
 
-def enumerate_monoid(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> MonoidTable:
-    """Enumerate one side and build its verified Cayley table.
-
-    Raises CapExceeded before doing any work if the predicted element count
-    exceeds ``cap`` or the table would need more than ``PRODUCT_CAP``
-    products.  The translation certificate proves closure and associativity
-    first; the table is then summed from its rows, each expanded over all
-    members by one gather (``_product_columns``), since member indices are
-    mixed-radix numbers of fiber positions (``_cayley_table``).
-    """
+def certified_members(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP, table: bool = False) -> Members:
+    """Enumerate and certify one side, with ``table`` its ``MonoidTable``.  Raises
+    CapExceeded before any work if the predicted element count exceeds
+    ``cap`` or the table would need more than ``PRODUCT_CAP`` products, and
+    MembershipError unless the translation certificate proves closure,
+    associativity and both identity laws.  The table is summed from the
+    certificate's product columns, member indices being mixed-radix numbers
+    of fiber positions."""
     pred = _checked_size(g, side, cap)
     if pred * pred > PRODUCT_CAP:
-        raise CapExceeded(
-            f"Cayley table needs {pred * pred} products, cap {PRODUCT_CAP}",
-            predicted=pred * pred,
-        )
-    maps = monoid_maps_array(g, side, cap)
+        raise CapExceeded(f"Cayley table needs {pred * pred} products, cap {PRODUCT_CAP}", predicted=pred * pred)
     ker = _Kernel(g)
-    total = len(maps)
-    _, _, assoc_ok, witness, rows = _certificate(ker, side)
-    if not assoc_ok:
-        raise MembershipError(f"translation certificate fails at {witness}")
-    pos, strides = _radix(g, side)
-    op = _cayley_table(_product_columns(rows, strides, total), pos, strides, total)
-    identity = int(_rank(pos, strides, np.array([g.range_map if side == "S" else g.domain_map]))[0])
-    idx = np.arange(total)
-    if identity < 0 or not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
-        raise MembershipError("identity law fails in the Cayley table")
-    return MonoidTable(groupoid=g, side=side, op=op, identity=identity,
-                       trans=ker.translation_rows(maps, side), maps=maps)
+    cert = _certificate(ker, side)
+    if not cert.assoc_ok:
+        raise MembershipError(f"translation certificate fails at {cert.witness}")
+    identity = _identity(cert)
+    if identity is None:
+        raise MembershipError("identity law fails in the translation certificate")
+    maps = monoid_maps_array(g, side, cap)
+    fields = dict(groupoid=g, side=side, identity=identity, trans=ker.translation_rows(maps, side), maps=maps)
+    if table:
+        op = fields["op"] = _cayley_table(_product_columns(cert, pred), cert.pos, cert.strides, pred)
+        idx = np.arange(pred)
+        if not (op[identity] == idx).all() or not (op[:, identity] == idx).all():
+            raise MembershipError("identity law fails in the Cayley table")
+    out = (MonoidTable if table else Members)(**fields)
+    vars(out)["radix"] = cert.pos, cert.strides  # the certificate's, so rank never rebuilds it
+    return out
+
+
+def enumerate_monoid(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> MonoidTable:
+    """Enumerate one side and build its verified Cayley table."""
+    return certified_members(g, side, cap, table=True)
 
 
 def involution_indices(ts: MonoidTable, tsp: MonoidTable) -> np.ndarray:
@@ -373,7 +373,14 @@ class LawScan:
     witness: tuple | None
 
 
-def _certificate(ker: _Kernel, side: str):
+# The certificate's verdicts and its flat (x, v, w) triples: pair i is (x[i], v[i])
+# with c[i] = Q[v, x] and triples first[i] .. first[i] + k[c[i]] - 1; triple t,
+# of pair[t], takes g(c) = w[t] to res[t] = (f * g)(x).  e is r on S, d on S'.
+_Certificate = namedtuple("_Certificate", "closure_ok closure_conditions assoc_ok witness "
+                                          "pos strides k e x v c first pair w res")
+
+
+def _certificate(ker: _Kernel, side: str) -> _Certificate:
     """Closure and associativity of one side by the L3.7 translation certificate.
 
     On side S the left translation L_f(x) = f(x) x satisfies
@@ -383,62 +390,70 @@ def _certificate(ker: _Kernel, side: str):
     distinct translations, the translations embed the product into map
     composition, so it is associative on all |S|^3 triples.
 
-    Each pairwise condition at position x depends on f only through
-    v = f(x) and on g only through w = g(c), c = P[v, x]: the product value
-    is P[w, v] and the law reads P[(f*g)(x), x] = P[w, c].  Side S' is side
-    S of the opposite groupoid, product Q[a, b] = P[b, a] with d and r
-    swapped.  Members are the full product of the position fibers, so
-    scanning every (x, v, w), v over the fiber of x and w over that of c,
-    evaluates each distinct condition once (sum_x k_x k_c of them) and
-    covers every (f, g, x) exactly, sum_x k_x |S| of them
-    (``closure_conditions``); nothing is sampled.  For the same reason
-    distinct members have distinct translations iff v -> c is injective on
-    every fiber.
+    A condition at position x depends on f only through v = f(x) and on g
+    only through w = g(c), c = P[v, x]: the product value is P[w, v] and the
+    law reads P[(f*g)(x), x] = P[w, c].  Side S' is side S of the opposite
+    groupoid, Q[a, b] = P[b, a] with d and r swapped.  Members are the full
+    product of the position fibers, so the flat array of every (x, v, w), v
+    in x's fiber and w in c's, built and checked by a fixed number of numpy
+    calls, evaluates each distinct condition once (sum_x k_x k_c of them) and
+    covers every (f, g, x), sum_x k_x |S| of them (``closure_conditions``).
+    Likewise distinct members have distinct translations iff v -> c is
+    injective on every fiber.
 
-    rows[x][p] = (c, res) for v the p-th value of x's sorted fiber:
-    res[q] = (f * g)(x) for every f with f(x) = v and every g with g(c) the
-    q-th value of c's fiber (UNDEFINED where undefined; res is None where c
-    is).  The scan runs on past a closure failure to fill them.
-
-    Returns (closure_ok, closure_conditions, assoc_ok, witness, rows).  The
-    witness names the failed premise: ("closure", x, v, g) or
-    ("translation law", x, v, g), g the first member index taking c to a
-    failing w (q * strides[c] for w the q-th value), or ("injectivity", i, j)
-    for two members with equal translations, differing at one position only.
+    The witness, the first failure in (x, v, w) order, names the premise:
+    ("closure", x, v, g) or ("translation law", x, v, g), g the first member
+    index taking c to a failing w (q * strides[c] for w the q-th value), or
+    ("injectivity", i, j) for two members with equal translations, differing
+    at one position.  A closure failure counts conditions through its pair.
     """
     n, (Q, d, r) = ker.n, ((ker.P, ker.dm, ker.rm) if side == "S" else (ker.P.T, ker.rm, ker.dm))
     Qf = np.ascontiguousarray(Q).ravel()
-    fibers = [np.asarray(fib, dtype=np.int32) for fib in _position_fibers(ker.g, side)]
-    strides = _radix(ker.g, side)[1].tolist()
-    size = math.prod(map(len, fibers))
-    conditions, closure, law_witness, rows = 0, None, None, []
-    for x, fiber in enumerate(fibers):
-        rows.append([])
-        for v in fiber.tolist():
-            c = int(Q[v, x])
-            conditions += size
-            if c < 0:  # no product is defined at x
-                closure = closure or (conditions, ("closure", x, v, 0))
-                rows[x].append((c, None))
-                continue
-            w = fibers[c]
-            res = Qf[w * n + v]
-            rows[x].append((c, res))
-            good = (res >= 0) & (d[np.maximum(res, 0)] == r[x])
-            if not good.all():
-                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good)) * strides[c]))
-            bad = Qf[res * n + x] != Qf[w * n + c]
-            if law_witness is None and bad.any():
-                law_witness = ("translation law", x, v, int(np.argmax(bad)) * strides[c])
-    if closure is not None:
-        return False, closure[0], False, closure[1], rows
-    for x, row in enumerate(rows if law_witness is None else ()):
-        cs = [c for c, _ in row]
-        dup = next((p for p, c in enumerate(cs) if c in cs[:p]), None)
-        if dup is not None:
-            law_witness = ("injectivity", cs.index(cs[dup]) * strides[x], dup * strides[x])
-            break
-    return True, conditions, law_witness is None, law_witness, rows
+    pos, strides = _radix(ker.g, side)
+    x, v = (pos >= 0).nonzero()  # the (x, v) pairs in order: fibers are sorted
+    k = np.bincount(x, minlength=n)
+    size = int(strides[0]) * int(k[0])
+    c = Qf[v * n + x]
+    kc = np.where(c >= 0, k[c], 0)  # no triple where no product is defined at x
+    first = kc.cumsum() - kc
+    pair = np.arange(len(x)).repeat(kc)
+    q = np.arange(len(pair)) - first[pair]  # w is the q-th value of c's fiber
+    w = v[(k.cumsum() - k)[c[pair]] + q]  # v holds the fibers back to back
+    res = Qf[w * n + v[pair]]
+    cert = partial(_Certificate, pos=pos, strides=strides, k=k, e=r, x=x, v=v, c=c,
+                   first=first, pair=pair, w=w, res=res)
+    good = (res >= 0) & (d[res] == r[x[pair]])
+    if not good.all() or (c < 0).any():
+        bad = (~good).nonzero()[0][:1]
+        failed = min((c < 0).nonzero()[0][:1].tolist() + pair[bad].tolist())
+        at = 0 if c[failed] < 0 else int(q[bad[0]]) * int(strides[c[failed]])
+        return cert(False, (failed + 1) * size, False, ("closure", int(x[failed]), int(v[failed]), at))
+    law, key, witness = Qf[res * n + x[pair]] != Qf[w * n + c[pair]], x * n + c, None
+    if law.any():
+        t = int(law.argmax())
+        witness = ("translation law", int(x[pair[t]]), int(v[pair[t]]), int(q[t]) * int(strides[c[pair[t]]]))
+    elif ((sk := np.sort(key))[1:] == sk[:-1]).any():  # two values of one fiber with the same c
+        order = key.argsort(kind="stable")
+        i = order[1:][key[order[1:]] == key[order[:-1]]].min()
+        j = order[sk.searchsorted(key[i])]
+        witness = ("injectivity", *(int(pos[x[i], v[a]]) * int(strides[x[i]]) for a in (j, i)))
+    return cert(True, len(x) * size, witness is None, witness)
+
+
+def _identity(cert: _Certificate) -> int | None:
+    """The index of the identity e (r on S, d on S'), or None unless both its
+    laws hold on the certificate's triples: (f * e)(x) is the triple of
+    (x, f(x)) with w = e(c), which must give f(x); each triple of (x, e(x))
+    must give g(x) for every g: w itself when c = x, else x's one fiber
+    value (digits of different positions are independent)."""
+    digits = cert.pos[np.arange(len(cert.e)), cert.e]
+    if (digits < 0).any() or (cert.c < 0).any():
+        return None
+    right = cert.res[cert.first + digits[cert.c]] == cert.v
+    t = (cert.v == cert.e[cert.x])[cert.pair].nonzero()[0]  # the triples of the pairs (x, e(x))
+    i, res = cert.pair[t], cert.res[t]
+    left = np.where(cert.c[i] == cert.x[i], res == cert.w[t], (cert.k[cert.x[i]] == 1) & (res == cert.v[i]))
+    return int(digits @ cert.strides) if right.all() and left.all() else None
 
 
 def _cayley_table(cols: list[np.ndarray], pos: np.ndarray, strides: np.ndarray, total: int) -> np.ndarray:
@@ -455,38 +470,19 @@ def _cayley_table(cols: list[np.ndarray], pos: np.ndarray, strides: np.ndarray, 
     return (hi[:, None] + low[None]).reshape(total, total)
 
 
-def _product_columns(rows, strides: np.ndarray, size: int) -> list[np.ndarray]:
-    """The certificate's rows over all members: cols[x], shape (k_x, |S|),
-    holds (f * g_j)(x) in row p for every member j and any f taking x to the
-    p-th value of x's fiber, since g_j(c) is at digit (j // strides[c]) % k_c."""
-    rank = np.arange(size)
-    return [np.stack([res[rank // strides[c] % len(res)] for c, res in row]) for row in rows]
+def _product_columns(cert: _Certificate, size: int) -> list[np.ndarray]:
+    """cols[x], shape (k_x, |S|), holds (f * g_j)(x) in row p for every member
+    j and any f taking x to the p-th value of x's fiber: one gather from the
+    triples, since g_j(c) is at digit (j // strides[c]) % k_c."""
+    c = cert.c[:, None]
+    cols = cert.res[cert.first[:, None] + np.arange(size) // cert.strides[c] % cert.k[c]]
+    return np.split(cols, cert.k.cumsum()[:-1].tolist())
 
 
 def law_scan(g: Groupoid, side: str = "S", cap: int = DEFAULT_MONOID_CAP) -> LawScan:
-    """Verify the monoid laws of one side without a Cayley table or member array.
-
-    The translation certificate (L3.7) proves closure and associativity on
-    every pair and triple from sum_x k_x k_c evaluated conditions.  The
-    identity laws are read off its rows: e * g at position x is the row at
-    e's digit, which must give g(x) for every g, and f * e is each row's
-    entry at e's digit of c, which must be f(x).
-    """
+    """The monoid laws of one side without a Cayley table or member array:
+    ``_certificate`` and ``_identity``, from sum_x k_x k_c conditions."""
     size = _checked_size(g, side, cap)
-    closure_ok, conditions, assoc_ok, witness, rows = _certificate(_Kernel(g), side)
-    pos, _ = _radix(g, side)
-    digits = pos[np.arange(g.size), g.range_map if side == "S" else g.domain_map]
-
-    def identity_holds(x, row, fiber):
-        c, res = row[digits[x]]  # (e * g)(x) = res[digit_c(g)] must be g(x) for every g
-        if res is None or not (np.array_equal(res, fiber) if c == x  # digit_c(g) = digit_x(g)
-                               else (res[:, None] == fiber).all()):  # independent digits
-            return False
-        # (f * e)(x) = res[digit_c(e)] must be f(x) = v
-        return all(r is not None and r[digits[b]] == v for (b, r), v in zip(row, fiber))
-
-    identity_ok = (digits >= 0).all() and all(
-        identity_holds(x, row, fiber) for x, (row, fiber) in enumerate(zip(rows, _position_fibers(g, side))))
-    return LawScan(side=side, size=size, identity_ok=bool(identity_ok), closure_ok=closure_ok,
-                   closure_conditions=conditions, assoc_ok=assoc_ok, assoc_mode="certificate",
-                   assoc_triples=size ** 3, witness=witness)
+    cert = _certificate(_Kernel(g), side)
+    # closure_ok, closure_conditions and assoc_ok are the certificate's first three fields
+    return LawScan(side, size, _identity(cert) is not None, *cert[:3], "certificate", size ** 3, cert.witness)

@@ -434,8 +434,3 @@ def morphism_classify(g: Groupoid, h: Groupoid, m: Sequence[int]) -> MorphismRep
     u2u = all(m[u] in h.units for u in g.units)
     i2i = all(m[g.inverse[x]] == h.inverse[m[x]] for x in g.elements())
     return MorphismReport(hom, anti, iso, u2u, i2i)
-
-
-def fixed_points(m: Sequence[int]) -> tuple[int, ...]:
-    """Ids fixed by a total self-map."""
-    return tuple(x for x, v in enumerate(m) if v == x)

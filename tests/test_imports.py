@@ -8,6 +8,9 @@ package's re-exports.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gpd
@@ -97,3 +100,27 @@ def test_every_traced_name_is_a_callable_of_its_layer():
                for name in names
                if not callable(getattr(importlib.import_module(f"gpd.{layer}"), name, None))]
     assert tracing.TARGETS and missing == []
+
+
+# gpd monoid, rep and verify --props CLOSING on C4, in one fresh interpreter;
+# np.unique's first call imports numpy.ma, which a full verify needs and these
+# three commands do not
+NO_MASKED_ARRAYS = """
+import sys, tempfile, os
+from gpd import corpus, io
+from gpd.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    path, out = os.path.join(tmp, "c4.json"), os.path.join(tmp, "out.json")
+    io.save_groupoid(path, corpus.cyclic(4))
+    for argv in (["monoid", path], ["rep", path], ["verify", path, "--props", "CLOSING"]):
+        for side in (["--side", "S"], ["--side", "S'"]) if argv[0] != "verify" else ([],):
+            assert main([*argv, *side, "-o", out]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_monoid_rep_and_closing_never_import_masked_arrays():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -313,24 +313,26 @@ def test_rep_builds_one_token_table_per_column(tmp_path, monkeypatch):
 def test_only_in_range_integer_arrays_take_the_token_table(monkeypatch):
     # the token table holds max + 1 strings, so it is used only when that is
     # no more than the array's size; every other array is written as its list
-    tokenized, write_tokens = [], io._write_tokens
+    tokenized, tokens = [], io._tokens
 
-    def spy(rows, pad, out):
-        tokenized.append(pad)
-        write_tokens(rows, pad, out)
+    def spy(arr, lead=0):
+        result = tokens(arr, lead)
+        if result is not None:
+            tokenized.append(arr.shape)
+        return result
 
-    monkeypatch.setattr(io, "_write_tokens", spy)
+    monkeypatch.setattr(io, "_tokens", spy)
     for arr, taken in [(np.array([[1, 0], [3, 2]], dtype=np.uint8), True),
                        (np.array([0, 1]), True), (np.array([0, 2]), False),
                        (np.array([-1, 0, 1]), False), (np.array([True, False]), False),
                        (np.array([0.0, 1.0]), False), (np.array(0), False),
                        (np.zeros((2, 0), dtype=int), False)]:
         tokenized.clear()
-        io.dump_bytes({"a": arr})
+        assert io.dump_bytes({"a": arr}) == stdlib_bytes({"a": arr.tolist()})
         assert bool(tokenized) == taken, arr
     tokenized.clear()
     io.dump_bytes(io.monoid_to_dict(enumerate_monoid(corpus.cyclic(2), "S")))
-    assert tokenized.count("  ") == 2  # elements and op, each one array
+    assert tokenized == [(4, 2), (4, 4)]  # elements and op, each one array
 
 
 @st.composite
